@@ -40,30 +40,25 @@ def test_prediction_beats_random(benchmark, result, report_sink):
     relays, otherwise history carries no signal."""
     import numpy as np
 
-    from repro.core.oracle import RelayPredictor
+    from repro.core.oracle import LaneHistory
+    from repro.core.types import RELAY_TYPE_ORDER
 
-    predictor = RelayPredictor(RelayType.COR)
-    for rnd in result.rounds[:-1]:
-        for obs in rnd.observations:
-            predictor.observe(obs)
-    pool = sorted(
-        {
-            idx
-            for rnd in result.rounds[:-1]
-            for obs in rnd.observations
-            for idx, _ in obs.improving_by_type.get(RelayType.COR, ())
-        }
-    )
+    table = result.table
+    train = np.isin(table.round_idx, [r.round_index for r in result.rounds[:-1]])
+    history = LaneHistory.from_table(table, RelayType.COR, case_mask=train)
+    cases, relays, _ = table.type_entries(RELAY_TYPE_ORDER.index(RelayType.COR))
+    pool = sorted(set(relays[train[cases]].tolist()))
     rng = np.random.default_rng(5)
 
     def run():
         predicted_hits = random_hits = evaluated = 0
         for obs in result.rounds[-1].observations:
             entries = dict(obs.improving_by_type.get(RelayType.COR, ()))
-            if not entries or not predictor.has_history(obs):
+            predicted = history.predict_ccs(obs.e1_cc, obs.e2_cc, 3)
+            if not entries or not predicted:
                 continue
             evaluated += 1
-            if set(predictor.predict(obs, 3)) & set(entries):
+            if set(predicted) & set(entries):
                 predicted_hits += 1
             random_pick = rng.choice(pool, size=min(3, len(pool)), replace=False)
             if set(int(x) for x in random_pick) & set(entries):

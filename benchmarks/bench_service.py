@@ -63,14 +63,14 @@ def run_bench() -> dict:
     compile_s = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        service = ShortcutService.from_result(result)
+        service = ShortcutService.from_campaign(result)
         compile_s = min(compile_s, time.perf_counter() - start)
 
     # incremental ingest: a service warm on all but the last round folds
     # the last round in (what an operator pays per new measurement round)
     ingest_s = float("inf")
     for _ in range(REPEATS):
-        warm = ShortcutService.from_result(result, rounds=result.rounds[:-1])
+        warm = ShortcutService.from_campaign(result, rounds=result.rounds[:-1])
         start = time.perf_counter()
         ingest_stats = warm.ingest_round(result.rounds[-1])
         ingest_s = min(ingest_s, time.perf_counter() - start)
@@ -102,7 +102,7 @@ def run_bench() -> dict:
     # comparable across runs.
     live_best = live_service = None
     for _ in range(REPEATS):
-        candidate = ShortcutService.from_result(
+        candidate = ShortcutService.from_campaign(
             result, liveness_rounds=LIVENESS_ROUNDS
         )
         stats = replay(candidate, config)
@@ -169,7 +169,7 @@ def run_smoke(
 
     result = _build_history()
     start = time.perf_counter()
-    service = ShortcutService.from_result(result)
+    service = ShortcutService.from_campaign(result)
     stats = replay(
         service, LoadgenConfig(num_queries=queries, batch_size=BATCH_SIZE)
     )

@@ -14,9 +14,12 @@ Each round, repeated every 12 simulated hours:
 The campaign accounts every ping against the Atlas emulator's round budget,
 mirroring the paper's constraint of operating within platform limits.
 
-The hot path is vectorized end to end.  Every measurement step hands its
-whole leg list to :meth:`PingEngine.median_many` (per-packet terms drawn in
-a handful of RNG calls).  Step 3's Sec 2.4 bound is evaluated for all
+The hot path is vectorized end to end.  Each round builds its
+(endpoints × endpoints) and (endpoints × relays)
+:class:`~repro.latency.model.PairGrid` once; every measurement step gathers
+its legs' deterministic terms from a grid by index and samples them in one
+:meth:`PingEngine.median_from_entries` call (per-packet terms drawn in a
+handful of RNG calls).  Step 3's Sec 2.4 bound is evaluated for all
 (pair, relay) combinations at once as a NumPy broadcast over the round's
 (endpoints × relays) delay matrix from the world's
 :class:`~repro.geo.matrix.CityDelayMatrix`, and the resulting boolean mask
@@ -53,8 +56,8 @@ from repro.core.results import (
 )
 from repro.core.table import ObservationTable, TablePools
 from repro.core.types import RELAY_TYPE_ORDER, RelayType
-from repro.errors import AnalysisError, ConfigError
-from repro.latency.model import Endpoint
+from repro.errors import AnalysisError
+from repro.latency.model import Endpoint, PairGrid
 from repro.measurement.atlas import AtlasProbe
 from repro.timeline.schedule import compile_timeline
 from repro.world import World
@@ -93,17 +96,9 @@ class MeasurementCampaign:
         self,
         world: World,
         config: CampaignConfig | None = None,
-        *,
-        use_pair_grid: bool = True,
     ) -> None:
         self._world = world
         self._cfg = config or CampaignConfig()
-        #: Resolve measurement legs through per-round
-        #: :class:`~repro.latency.model.PairGrid` matrices (the default)
-        #: instead of the per-leg pair-cache loop.  Both paths are
-        #: bit-identical (asserted by tests/test_latency_model.py's parity
-        #: suite); the flag exists so the legacy path stays exercisable.
-        self._use_pair_grid = use_pair_grid
         self._eyeballs = EyeballSelector(world, self._cfg)
         #: The campaign's compiled fault timeline (None when the config
         #: carries no schedule).  Compiled from dedicated ``timeline.*``
@@ -122,15 +117,6 @@ class MeasurementCampaign:
             if self._cfg.timeline is not None
             else None
         )
-        if (
-            self.timeline is not None
-            and self.timeline.has_link_events
-            and not use_pair_grid
-        ):
-            raise ConfigError(
-                "link-degradation timeline events require the pair-grid "
-                "measurement path (use_pair_grid=True)"
-            )
         self._colo = ColoRelayPipeline(world, self._cfg)
         self._atlas_relays = AtlasRelaySelector(world, self._cfg)
         self._plr = PlanetLabRelaySelector(world, self._cfg)
@@ -240,46 +226,34 @@ class MeasurementCampaign:
         by_id = {p.probe_id: p for p in endpoints}
         endpoint_ids = set(by_id)
 
-        n_ep = len(endpoints)
-        direct_pairs = [
-            (p1, p2) for i, p1 in enumerate(endpoints) for p2 in endpoints[i + 1 :]
-        ]
-        # pair keys are shared by the two direct steps (they measure the
-        # same pair list), so they are built once per round
+        # every (i < j) endpoint pair, row-major; the pair keys are shared
+        # by the two direct steps (they measure the same pair list)
+        pair_idx = np.triu_indices(len(endpoints), 1)
+        probe_ids = [p.probe_id for p in endpoints]
         direct_keys = [
-            self._pair_key(p1.probe_id, p2.probe_id) for p1, p2 in direct_pairs
+            self._pair_key(probe_ids[i], probe_ids[j])
+            for i, j in zip(pair_idx[0].tolist(), pair_idx[1].tolist())
         ]
         # the round's deterministic pair terms as one (endpoints × endpoints)
         # grid: both direct steps gather their legs' base/loss by index
-        # instead of resolving each leg through the pair cache
         endpoint_eps = [p.node.endpoint for p in endpoints]
         endpoint_ccs = (
             np.array([p.cc for p in endpoints], dtype="U3")
             if effects is not None and effects.links
             else None
         )
-        if self._use_pair_grid:
-            with self._sp_pair_grid:
-                egrid = self._world.latency.pair_grid(endpoint_eps, endpoint_eps)
-            if endpoint_ccs is not None:
-                with self._sp_timeline:
-                    egrid = self.timeline.apply_link_overrides(
-                        egrid, endpoint_ccs, endpoint_ccs, round_index
-                    )
-            pair_idx = (
-                np.repeat(np.arange(n_ep), np.arange(n_ep - 1, -1, -1)),
-                np.concatenate(
-                    [np.arange(i + 1, n_ep) for i in range(n_ep)]
-                    or [np.empty(0, np.intp)]
-                ),
-            )
-        else:
-            egrid = pair_idx = None
+        with self._sp_pair_grid:
+            egrid = self._world.latency.pair_grid(endpoint_eps, endpoint_eps)
+        if endpoint_ccs is not None:
+            with self._sp_timeline:
+                egrid = self.timeline.apply_link_overrides(
+                    egrid, endpoint_ccs, endpoint_ccs, round_index
+                )
 
         # step 2: direct medians (drive feasibility)
         with self._sp_direct:
             step2_direct, sent = self._measure_direct(
-                direct_pairs, direct_keys, rng, egrid, pair_idx
+                direct_keys, rng, egrid, pair_idx
             )
         pings_sent += sent
 
@@ -296,7 +270,7 @@ class MeasurementCampaign:
         # step 4: synced re-measurement + legs + stitching
         with self._sp_direct:
             step4_direct, sent = self._measure_direct(
-                direct_pairs, direct_keys, rng, egrid, pair_idx
+                direct_keys, rng, egrid, pair_idx
             )
         pings_sent += sent
         keep = np.fromiter(
@@ -315,14 +289,11 @@ class MeasurementCampaign:
             for r1, r2, m in zip(e1_kept, e2_kept, kept_mask):
                 needed[r1] |= m
                 needed[r2] |= m
-        if self._use_pair_grid and relay_arrays.count:
-            with self._sp_pair_grid:
-                rgrid = self._world.latency.pair_grid(
-                    endpoint_eps, [ep for _, ep in relay_arrays.items]
-                )
-        else:
-            rgrid = None
-        if rgrid is not None and endpoint_ccs is not None:
+        with self._sp_pair_grid:
+            rgrid = self._world.latency.pair_grid(
+                endpoint_eps, [ep for _, ep in relay_arrays.items]
+            )
+        if endpoint_ccs is not None:
             with self._sp_timeline:
                 rgrid = self.timeline.apply_link_overrides(
                     rgrid, endpoint_ccs, relay_arrays.ccs, round_index
@@ -356,72 +327,53 @@ class MeasurementCampaign:
 
     # --------------------------------------------------------------- helpers
 
-    def _median_legs(
-        self,
-        legs: list[tuple[Endpoint, Endpoint]],
-        rng: np.random.Generator,
-        charge_budget: bool = True,
-    ) -> tuple[np.ndarray, int]:
-        """Batch medians for a leg list (NaN = invalid).
-
-        Campaign steps charge the Atlas round budget; out-of-band sweeps
-        (the symmetry sanity check) pass ``charge_budget=False``.
-        """
-        cfg = self._cfg
-        medians = self._world.ping_engine.median_many(
-            legs, rng, count=cfg.pings_per_pair, min_valid=cfg.min_valid_rtts
-        )
-        sent = len(legs) * cfg.pings_per_pair
-        if charge_budget:
-            self._world.atlas.charge(sent)
-        return medians, sent
-
     def _median_entries(
         self,
-        base: np.ndarray,
-        loss: np.ndarray,
+        grid: PairGrid,
+        src: np.ndarray,
+        dst: np.ndarray,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """Batch medians for the ``grid[src, dst]`` legs (NaN = invalid)."""
+        cfg = self._cfg
+        return self._world.ping_engine.median_from_entries(
+            grid.base[src, dst],
+            grid.loss[src, dst],
+            rng,
+            count=cfg.pings_per_pair,
+            min_valid=cfg.min_valid_rtts,
+        )
+
+    def _charged_medians(
+        self,
+        grid: PairGrid,
+        src: np.ndarray,
+        dst: np.ndarray,
         rng: np.random.Generator,
     ) -> tuple[np.ndarray, int]:
-        """Batch medians for legs gathered from a pair grid (NaN = invalid)."""
-        cfg = self._cfg
-        medians = self._world.ping_engine.median_from_entries(
-            base, loss, rng, count=cfg.pings_per_pair, min_valid=cfg.min_valid_rtts
-        )
-        sent = len(base) * cfg.pings_per_pair
+        """:meth:`_median_entries` charged to the Atlas round budget."""
+        medians = self._median_entries(grid, src, dst, rng)
+        sent = len(src) * self._cfg.pings_per_pair
         self._world.atlas.charge(sent)
         return medians, sent
 
     def _measure_direct(
         self,
-        pairs: list[tuple[AtlasProbe, AtlasProbe]],
         pair_keys: list[tuple[str, str]],
         rng: np.random.Generator,
-        grid=None,
-        pair_idx: tuple[np.ndarray, np.ndarray] | None = None,
+        grid: PairGrid,
+        pair_idx: tuple[np.ndarray, np.ndarray],
     ) -> tuple[dict[tuple[str, str], float], int]:
         """Median direct RTT per endpoint pair (ping direction randomised).
 
-        With a round grid, each leg's deterministic terms are gathered by
-        endpoint index (flips swap indices instead of building swapped leg
-        tuples); without one, the legacy per-leg path runs.  Both consume
-        the RNG identically and produce bit-identical medians.
+        Each leg's deterministic terms are gathered from the round grid by
+        endpoint index; a flipped pair swaps its indices.
         """
-        flips = rng.random(len(pairs)) < 0.5
-        if grid is not None:
-            i_idx, j_idx = pair_idx
-            src = np.where(flips, j_idx, i_idx)
-            dst = np.where(flips, i_idx, j_idx)
-            medians, sent = self._median_entries(
-                grid.base[src, dst], grid.loss[src, dst], rng
-            )
-        else:
-            legs = [
-                (p2.node.endpoint, p1.node.endpoint)
-                if flip
-                else (p1.node.endpoint, p2.node.endpoint)
-                for (p1, p2), flip in zip(pairs, flips.tolist())
-            ]
-            medians, sent = self._median_legs(legs, rng)
+        flips = rng.random(len(pair_keys)) < 0.5
+        i_idx, j_idx = pair_idx
+        medians, sent = self._charged_medians(
+            grid, np.where(flips, j_idx, i_idx), np.where(flips, i_idx, j_idx), rng
+        )
         return {
             key: med
             for key, med in zip(pair_keys, medians.tolist())
@@ -564,7 +516,7 @@ class MeasurementCampaign:
         needed: np.ndarray,
         relays: _RelayArrays,
         rng: np.random.Generator,
-        grid=None,
+        grid: PairGrid,
     ) -> tuple[np.ndarray, dict[tuple[str, int], float] | None, int]:
         """Median RTT for every needed (endpoint, relay) leg.
 
@@ -572,20 +524,11 @@ class MeasurementCampaign:
         was not measured or had too few replies), the same medians keyed by
         ``(probe_id, registry_idx)`` for the round record (None — not built
         at all — when the config says not to record them), and pings sent.
-        With a round (endpoints × relays) grid, the needed legs' terms are
-        gathered straight off it — no leg tuple list is built at all.
+        The needed legs' terms are gathered straight off the round's
+        (endpoints × relays) grid.
         """
         e_rows, cols = np.nonzero(needed)
-        e_list, c_list = e_rows.tolist(), cols.tolist()
-        if grid is not None:
-            medians, sent = self._median_entries(
-                grid.base[e_rows, cols], grid.loss[e_rows, cols], rng
-            )
-        else:
-            endpoint_eps = [p.node.endpoint for p in endpoints]
-            relay_eps = [ep for _, ep in relays.items]
-            legs = [(endpoint_eps[e], relay_eps[c]) for e, c in zip(e_list, c_list)]
-            medians, sent = self._median_legs(legs, rng)
+        medians, sent = self._charged_medians(grid, e_rows, cols, rng)
         leg_matrix = np.full(needed.shape, np.nan)
         leg_matrix[e_rows, cols] = medians
         if not self._cfg.record_relay_medians:
@@ -594,7 +537,7 @@ class MeasurementCampaign:
         registry_idx = relays.registry_idx.tolist()
         leg_medians = {
             (probe_ids[e], registry_idx[c]): med
-            for e, c, med in zip(e_list, c_list, medians.tolist())
+            for e, c, med in zip(e_rows.tolist(), cols.tolist(), medians.tolist())
             if med == med
         }
         return leg_matrix, leg_medians, sent
@@ -787,15 +730,17 @@ class MeasurementCampaign:
         """
         world = self._world
         rng = world.seeds.rng(f"campaign.symmetry.{round_index}")
-        endpoints = self._eyeballs.sample_endpoints(rng)
-        legs: list[tuple[Endpoint, Endpoint]] = []
-        for i, p1 in enumerate(endpoints):
-            for p2 in endpoints[i + 1 :]:
-                e1, e2 = p1.node.endpoint, p2.node.endpoint
-                legs.append((e1, e2))
-                legs.append((e2, e1))
-        # a side-effect-free sanity sweep: not charged to the round budget
-        medians, _ = self._median_legs(legs, rng, charge_budget=False)
+        endpoints = [p.node.endpoint for p in self._eyeballs.sample_endpoints(rng)]
+        grid = world.latency.pair_grid(endpoints, endpoints)
+        i_idx, j_idx = np.triu_indices(len(endpoints), 1)
+        # legs interleaved as (i, j), (j, i) per pair; a side-effect-free
+        # sanity sweep, so not charged to the round budget
+        medians = self._median_entries(
+            grid,
+            np.column_stack((i_idx, j_idx)).reshape(-1),
+            np.column_stack((j_idx, i_idx)).reshape(-1),
+            rng,
+        )
         return [
             (float(fwd), float(rev))
             for fwd, rev in zip(medians[0::2], medians[1::2])

@@ -84,11 +84,9 @@ class ColoRelayPipeline:
         self,
         world: World,
         config: CampaignConfig | None = None,
-        batch_geolocation: bool = True,
     ) -> None:
         self._world = world
         self._cfg = config or CampaignConfig()
-        self._batch_geolocation = batch_geolocation
         self._verified: list[VerifiedColoRelay] | None = None
         self._report: FilterReport | None = None
         self._monitor = self._make_monitor_endpoint()
@@ -170,20 +168,19 @@ class ColoRelayPipeline:
             node = world.node_by_ip(record.ip)
             assert node is not None  # survived the pingability filter
             targets.append((record, fac_id, city_key, node))
-        if self._batch_geolocation:
-            # resolve every (LG, target) leg's deterministic base/loss entry
-            # in one batched pass; the scalar min-RTT loop below then hits a
-            # warm pair cache and consumes the RNG exactly as the unbatched
-            # loop would, so the verified pool is bit-identical (asserted in
-            # tests/test_colo_pipeline.py) while the per-leg path resolution
-            # — the pipeline's dominant one-time cost — runs vectorized
-            world.latency.warm_pairs(
-                [
-                    (lg.node.endpoint, node.endpoint)
-                    for _, _, city_key, node in targets
-                    for lg in world.periscope.lgs_in(city_key)
-                ]
-            )
+        # resolve every (LG, target) leg's deterministic base/loss entry in
+        # one batched pass, so the per-leg path resolution — the pipeline's
+        # dominant one-time cost — runs vectorized; the min-RTT loop below
+        # then hits a warm pair cache.  Warming draws no random numbers, so
+        # the loop's RNG consumption and the verified pool do not depend on
+        # it (the pool is pinned in tests/test_golden.py)
+        world.latency.warm_pairs(
+            [
+                (lg.node.endpoint, node.endpoint)
+                for _, _, city_key, node in targets
+                for lg in world.periscope.lgs_in(city_key)
+            ]
+        )
         verified: list[VerifiedColoRelay] = []
         for record, fac_id, city_key, node in targets:
             min_rtt = world.periscope.min_last_hop_rtt(node.endpoint, city_key, rng)

@@ -8,21 +8,15 @@ baseline: rank relays per endpoint-country-pair by how often they improved
 that pair in past rounds, predict the top-k for the next round, and score
 the prediction against that round's oracle-best relay.
 
-Two implementations live here:
-
-* :class:`LaneHistory` / :func:`evaluate_prediction` — the columnar path:
-  history is accumulated and ranked as NumPy reductions over
-  :class:`~repro.core.table.ObservationTable` columns (country pairs packed
-  into int64 *lane* keys, per-lane relay counts ranked ``(-count, relay)``
-  in one lexsort).  The serving layer (:mod:`repro.service`) compiles its
-  relay directory through the same kernels (:func:`rank_lane_entries`,
-  :func:`csr_top_k`), so service rankings and predictor rankings cannot
-  drift apart.
-* :class:`RelayPredictor` / :func:`evaluate_prediction_loop` — the original
-  per-:class:`~repro.core.results.PairObservation` loops, kept as the
-  reference implementation; the columnar path is asserted bit-equal to it
-  (same ``PredictionScore`` fields, including the float sum) in
-  ``tests/test_oracle_multihop.py``.
+:class:`LaneHistory` / :func:`evaluate_prediction` accumulate and rank
+history as NumPy reductions over
+:class:`~repro.core.table.ObservationTable` columns: country pairs are
+packed into int64 *lane* keys and per-lane relay counts are ranked
+``(-count, relay)`` in one lexsort.  The serving layer
+(:mod:`repro.service`) compiles its relay directory through the same
+kernels (:func:`rank_lane_entries`, :func:`csr_top_k`), so service
+rankings and predictor rankings cannot drift apart.  Frozen digests of
+both outputs live in ``tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.results import CampaignResult, PairObservation
+from repro.core.results import CampaignResult
 from repro.core.table import ObservationTable
 from repro.core.types import RELAY_TYPE_ORDER, RelayType
 from repro.errors import AnalysisError
@@ -63,58 +57,14 @@ class PredictionScore:
         return self.hit_at_k / self.evaluated
 
 
-class RelayPredictor:
-    """Frequency-based relay prediction over campaign history.
-
-    The *loop reference*: one dict update per observation, one sort per
-    prediction.  The hot paths use :class:`LaneHistory` instead; this class
-    stays as the semantics oracle the columnar path is tested against.
-    """
-
-    def __init__(self, relay_type: RelayType = RelayType.COR) -> None:
-        self._relay_type = relay_type
-        # (cc1, cc2) -> relay index -> improvement count
-        self._history: dict[tuple[str, str], dict[int, int]] = {}
-
-    @staticmethod
-    def _pair_key(obs: PairObservation) -> tuple[str, str]:
-        return (
-            (obs.e1_cc, obs.e2_cc) if obs.e1_cc <= obs.e2_cc else (obs.e2_cc, obs.e1_cc)
-        )
-
-    def observe(self, obs: PairObservation) -> None:
-        """Fold one observation into the history."""
-        counts = self._history.setdefault(self._pair_key(obs), {})
-        for idx, _ in obs.improving_by_type.get(self._relay_type, ()):
-            counts[idx] = counts.get(idx, 0) + 1
-
-    def predict(self, obs: PairObservation, k: int = 3) -> list[int]:
-        """Top-k relay indices predicted for the observation's country pair.
-
-        Raises:
-            AnalysisError: if ``k`` is not positive.
-        """
-        if k < 1:
-            raise AnalysisError(f"k must be >= 1, got {k}")
-        counts = self._history.get(self._pair_key(obs), {})
-        ranked = sorted(counts, key=lambda idx: (-counts[idx], idx))
-        return ranked[:k]
-
-    def has_history(self, obs: PairObservation) -> bool:
-        """True if the observation's country pair has any history."""
-        return bool(self._history.get(self._pair_key(obs)))
-
-
 class LaneHistory:
     """Columnar relay history: per country-pair *lane*, relays ranked by
     how often they improved the lane.
 
     Built in three NumPy passes over a table's CSR improving block (filter,
-    group-count, rank) instead of one dict update per observation.  Ranking
-    is ``(-count, relay index)`` — identical to
-    :meth:`RelayPredictor.predict`'s sort key — and lanes are canonical
-    unordered country pairs, so the two implementations group and rank
-    identically (asserted bit-equal in the tests).
+    group-count, rank).  Lanes are canonical unordered country pairs and
+    relays within a lane rank ``(-count, relay index)``: most frequent
+    improver first, ties to the lower registry index.
 
     Attributes:
         lane_keys: ``(L,) int64`` sorted canonical country-pair keys
@@ -197,16 +147,19 @@ class LaneHistory:
     def predict_ccs(self, cc1: str, cc2: str, k: int = 3) -> list[int]:
         """Top-k relays for a country pair given as strings.
 
-        The scalar convenience mirroring :meth:`RelayPredictor.predict`;
+        The scalar convenience over :meth:`lane_index` / :meth:`top_k`;
         unknown countries (or lanes with no history) predict empty.
+
+        Raises:
+            AnalysisError: if ``k`` is not positive.
         """
         if self._pools is None:
             raise AnalysisError("history was built without pools")
+        if k < 1:
+            raise AnalysisError(f"k must be >= 1, got {k}")
         a = self._pools.countries.lookup(cc1)
         b = self._pools.countries.lookup(cc2)
         if a < 0 or b < 0:
-            if k < 1:
-                raise AnalysisError(f"k must be >= 1, got {k}")
             return []
         key = np.asarray([(min(a, b) << 32) | max(a, b)], np.int64)
         row = self.top_k(self.lane_index(key), k)[0]
@@ -223,8 +176,7 @@ def rank_lane_entries(
 
     Returns ``(lane_keys, indptr, ranked_relays, ranked_counts[,
     ranked_gain_sums])`` — lanes sorted ascending, relays within a lane
-    ordered by ``(-count, relay)``, the same total order
-    :meth:`RelayPredictor.predict` sorts by.  ``counts`` defaults to one
+    ordered by ``(-count, relay)``.  ``counts`` defaults to one
     per row (occurrence counting); when ``gains`` is given, per-group gain
     sums are reduced alongside, in the rows' stable order (what makes the
     service's incremental recompiles bit-identical to full ones).  The
@@ -316,18 +268,20 @@ def evaluate_prediction(
 ) -> PredictionScore:
     """Train on all rounds but the last; evaluate on the last round.
 
-    The columnar implementation: history via :class:`LaneHistory`, the
-    evaluation round reduced segment-wise (oracle = first max-gain entry
-    per case, predicted gain via one packed ``(case, relay)`` searchsorted)
-    — bit-equal to :func:`evaluate_prediction_loop`, including the
-    sequential float accumulation of ``captured_gain_frac``.
+    History comes from :class:`LaneHistory`; the evaluation round is
+    reduced segment-wise (oracle = first max-gain entry per case, predicted
+    gain via one packed ``(case, relay)`` searchsorted).  A pair counts as
+    evaluated when its lane has history and it has an improving relay in
+    the last round.  ``captured_gain_frac`` sums the per-pair ratios
+    sequentially in case order, so it is reproducible to the bit.
 
     Raises:
-        AnalysisError: with fewer than 2 rounds, or non-positive ``k`` when
-            any pair is evaluated (matching the loop's lazy validation).
+        AnalysisError: with fewer than 2 rounds, or non-positive ``k``.
     """
     if len(result.rounds) < 2:
         raise AnalysisError("prediction evaluation needs >= 2 rounds")
+    if k < 1:
+        raise AnalysisError(f"k must be >= 1, got {k}")
     table = result.table
     code = RELAY_TYPE_ORDER.index(relay_type)
     last_round = result.rounds[-1].round_index
@@ -352,8 +306,6 @@ def evaluate_prediction(
     evaluated = int(np.count_nonzero(has_hist))
     if evaluated == 0:
         return PredictionScore(evaluated=0, hit_at_k=0, captured_gain_frac=0.0)
-    if k < 1:
-        raise AnalysisError(f"k must be >= 1, got {k}")
 
     oracle_at, oracle_gain = _first_max_per_segment(starts, gains)
     oracle_relay = relays[oracle_at]
@@ -374,47 +326,9 @@ def evaluate_prediction(
     pred_gain = np.where(found, gain_s[pos], 0.0).reshape(-1, k).max(axis=1)
 
     ratios = (pred_gain / oracle_gain)[has_hist]
-    captured = float(sum(ratios.tolist()))  # sequential, like the loop's +=
+    captured = float(sum(ratios.tolist()))  # sequential, in case order
     return PredictionScore(
         evaluated=evaluated,
         hit_at_k=int(np.count_nonzero(hits)),
         captured_gain_frac=captured / evaluated,
-    )
-
-
-def evaluate_prediction_loop(
-    result: CampaignResult,
-    relay_type: RelayType = RelayType.COR,
-    k: int = 3,
-) -> PredictionScore:
-    """The original per-observation evaluation (reference implementation).
-
-    Raises:
-        AnalysisError: with fewer than 2 rounds.
-    """
-    if len(result.rounds) < 2:
-        raise AnalysisError("prediction evaluation needs >= 2 rounds")
-    predictor = RelayPredictor(relay_type)
-    for rnd in result.rounds[:-1]:
-        for obs in rnd.observations:
-            predictor.observe(obs)
-
-    evaluated = hits = 0
-    captured = 0.0
-    for obs in result.rounds[-1].observations:
-        entries = obs.improving_by_type.get(relay_type, ())
-        if not entries or not predictor.has_history(obs):
-            continue
-        evaluated += 1
-        gains = dict(entries)
-        oracle_idx = max(gains, key=lambda idx: gains[idx])
-        predicted = predictor.predict(obs, k)
-        if oracle_idx in predicted:
-            hits += 1
-        predicted_gain = max((gains.get(idx, 0.0) for idx in predicted), default=0.0)
-        captured += predicted_gain / gains[oracle_idx]
-    return PredictionScore(
-        evaluated=evaluated,
-        hit_at_k=hits,
-        captured_gain_frac=captured / evaluated if evaluated else 0.0,
     )

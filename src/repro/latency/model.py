@@ -126,8 +126,7 @@ class PairGrid:
     either direction is unrouted) and ``loss[i, j]`` the pair's per-packet
     loss probability — the same two values :meth:`LatencyModel._pair_entries`
     resolves per leg, assembled once for the whole grid.  A measurement step
-    gathers its legs' entries by index instead of running the per-leg
-    token/cache loop.
+    gathers its legs' entries by index.
     """
 
     base: np.ndarray  #: (rows × cols) base RTT, NaN = unrouted
@@ -166,8 +165,8 @@ class LatencyModel:
         # per-key batch below.
         self._grid: np.ndarray | None = None
         self._grid_ids: dict[tuple[int, str], int] = {}
-        # keyed by id(endpoint): every endpoint reaching this map has
-        # already been pinned by _endpoint_token (see _pair_key callers)
+        # keyed by id(endpoint); _attachment_id pins every endpoint it maps
+        # in _ep_refs, so an id is never reused while its entry lives
         self._att_of: dict[int, int] = {}
         # (base RTT or NaN-if-unrouted, loss probability) per ordered pair,
         # keyed by per-endpoint cache tokens (see _endpoint_token); both
@@ -199,26 +198,6 @@ class LatencyModel:
 
     # ----------------------------------------------------------- base RTT
 
-    def path_one_way_ms(
-        self, src_asn: int, src_city: str, dst_asn: int, dst_city: str
-    ) -> float | None:
-        """One-way network delay between two (ASN, city) attachment points.
-
-        Excludes endpoint access latency.  Returns None when no valley-free
-        route exists.  Cached; deterministic.
-        """
-        key = (src_asn, src_city, dst_asn, dst_city)
-        if key in self._path_cache:
-            return self._path_cache[key]
-        as_path = self._routing.path(src_asn, dst_asn)
-        if as_path is None:
-            self._path_cache[key] = None
-            return None
-        delay = self._walker.propagation_ms(src_city, as_path, dst_city)
-        delay += self._cfg.per_hop_ms * max(0, len(as_path) - 1)
-        self._path_cache[key] = delay
-        return delay
-
     def base_rtt_ms(self, src: Endpoint, dst: Endpoint) -> float | None:
         """Deterministic RTT between two endpoints, before jitter.
 
@@ -229,7 +208,7 @@ class LatencyModel:
         effects, which is all that distinguishes the two ping directions.
         Returns None when either direction lacks a valley-free route.
         """
-        base = self._pair_entry((src, dst))[0]
+        base = self._pair_entries(((src, dst),))[0][0]
         return None if base != base else base
 
     def _endpoint_token(self, endpoint: Endpoint) -> object:
@@ -259,29 +238,6 @@ class LatencyModel:
         self._ep_refs[key] = endpoint
         return token
 
-    def _pair_key(self, src: Endpoint, dst: Endpoint) -> tuple:
-        tokens = self._ep_tokens
-        t1 = tokens.get(id(src))
-        if t1 is None:
-            t1 = self._endpoint_token(src)
-        t2 = tokens.get(id(dst))
-        if t2 is None:
-            t2 = self._endpoint_token(dst)
-        return (t1, t2)
-
-    def _pair_entry(self, pair: tuple[Endpoint, Endpoint]) -> tuple[float, float]:
-        src, dst = pair
-        key = self._pair_key(src, dst)
-        entry = self._pair_cache.get(key)
-        if entry is None:
-            base = self._base_rtt_uncached(src, dst)
-            entry = (
-                float("nan") if base is None else base,
-                self.loss_probability(src, dst),
-            )
-            self._pair_cache[key] = entry
-        return entry
-
     # ------------------------------------------------------- batched base RTT
 
     def set_attachment_grid(
@@ -290,9 +246,9 @@ class LatencyModel:
         """Install a precomputed attachment delay grid (see
         :meth:`RoutingFabric.build_attachment_grid`).
 
-        ``grid[s, t]`` must equal ``path_one_way_ms`` for the corresponding
-        attachment pair (NaN = unrouted); the fabric's vectorized builder
-        guarantees bit-identical values.
+        ``grid[s, t]`` must equal what :meth:`_one_way_batch` computes for
+        the corresponding attachment pair (NaN = unrouted); the fabric's
+        vectorized builder guarantees bit-identical values.
         """
         self._grid = grid
         self._grid_ids = att_ids
@@ -332,13 +288,16 @@ class LatencyModel:
         return att
 
     def _one_way_batch(self, keys: list[tuple[int, str, int, str]]) -> list[float]:
-        """``path_one_way_ms`` for a key list, final segments vectorized.
+        """One-way network delay per ``(src_asn, src_city, dst_asn,
+        dst_city)`` key, excluding endpoint access latency.
 
+        The delay is stretched fiber along the BGP path's geographic walk
+        plus a per-AS-hop cost; NaN marks keys without a valley-free route.
         Per key the Python work is the cached path and walk-prefix lookups;
         the final-segment fiber delay, stretch and per-hop arithmetic run
-        as one NumPy gather over the whole miss list, in the same operation
-        order as the scalar code (bit-identical results).  NaN marks
-        unrouted keys.
+        as one NumPy gather over the whole miss list, in the routing
+        fabric's operation order (so attachment-grid entries are
+        bit-identical).  Results are cached per key.
         """
         cache = self._path_cache
         triples = self._triple_cache
@@ -387,8 +346,7 @@ class LatencyModel:
             prefix_km.append(km)
             end_idx.append(end)
             # a zero-length final segment multiplies out to +0.0, which is
-            # exact, so the scalar code's dst==end special case needs no
-            # branch here
+            # exact, so dst == end needs no special case
             dst_idx.append(end if dst_city == end_city else matrix.index(dst_city))
             stretch.append(carrier)
             hop_ms.append(hops)
@@ -409,9 +367,12 @@ class LatencyModel:
     ) -> list[tuple[float, float]]:
         """``(base-or-NaN, loss)`` per pair, computing uncached ones in bulk.
 
-        Base-RTT assembly (forward + reverse + access, skew) runs as NumPy
-        elementwise expressions in the scalar code's operation order, so the
-        cached entries are bit-identical to :meth:`_pair_entry`'s.  One
+        The one resolver for arbitrary leg lists: :meth:`base_rtt_ms`,
+        :meth:`sample_rtt_matrix` and :meth:`warm_pairs` all go through it,
+        while measurement rounds gather from a :meth:`pair_grid` instead.
+        Base-RTT assembly ``(forward + reverse + access) * skew factor``
+        runs as NumPy elementwise expressions in the same operation order
+        as :meth:`pair_grid`, so both give bit-identical entries.  One
         cache pass serves the whole (mostly-warm) leg list.
         """
         cache = self._pair_cache
@@ -472,8 +433,8 @@ class LatencyModel:
         base = (fwd + rev + access) * (
             1.0 + (2.0 * skew - 1.0) * cfg.asymmetry_frac
         )
-        # loss stays scalar-per-pair: its three multiplications must keep
-        # the scalar code's left-to-right association to stay bit-identical
+        # loss stays scalar-per-pair: loss_probability's left-to-right
+        # product is the association pair_grid's loss matrix reproduces
         loss = [self.loss_probability(s, d) for s, d in misses]
         for key, b, p in zip(miss_by_key, base.tolist(), loss):
             cache[key] = (b, p)
@@ -578,14 +539,13 @@ class LatencyModel:
         """Base-RTT and loss matrices for every ordered (row, col) pair.
 
         Entries are bit-identical to what :meth:`_pair_entries` resolves for
-        the same ordered pair: the base assembly mirrors the scalar code's
-        operation order term by term ((fwd + rev + access) * skew factor,
-        loss as the same left-to-right product), and the one-way delays come
-        from the same attachment grid / path cache.  Building the grid costs
-        O(rows + cols) Python work per endpoint plus one cached hash per
-        ordered pair; gathering a leg's entry afterwards is pure NumPy
-        indexing — this replaces the per-leg token/cache loop on the
-        campaign's measurement hot path.
+        the same ordered pair: the base assembly follows its operation order
+        term by term ((fwd + rev + access) * skew factor, loss as the same
+        left-to-right product), and the one-way delays come from the same
+        attachment grid / path cache.  Building the grid costs O(rows +
+        cols) Python work per endpoint plus one cached hash per ordered
+        pair; gathering a leg's entry afterwards is pure NumPy indexing,
+        which is why the campaign's measurement steps use it.
         """
         r, c = len(rows), len(cols)
         fwd, rev = self._one_way_grid(rows, cols)
@@ -606,17 +566,6 @@ class LatencyModel:
             * (1.0 - np.fromiter((e.loss_prob for e in cols), float, c))[np.newaxis, :]
         )
         return PairGrid(base=base, loss=loss)
-
-    def _base_rtt_uncached(self, src: Endpoint, dst: Endpoint) -> float | None:
-        forward = self.path_one_way_ms(src.asn, src.city_key, dst.asn, dst.city_key)
-        if forward is None:
-            return None
-        reverse = self.path_one_way_ms(dst.asn, dst.city_key, src.asn, src.city_key)
-        if reverse is None:
-            return None
-        rtt = forward + reverse + 2.0 * (src.access_ms + dst.access_ms)
-        skew = (2.0 * _pair_unit_hash(src.node_id, dst.node_id) - 1.0) * self._cfg.asymmetry_frac
-        return rtt * (1.0 + skew)
 
     # --------------------------------------------------------- sampled RTT
 

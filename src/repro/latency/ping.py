@@ -93,52 +93,6 @@ class PingEngine:
             src_id=src.node_id, dst_id=dst.node_id, rtts_ms=self._row_to_rtts(row)
         )
 
-    def ping_many(
-        self,
-        legs: Sequence[tuple[Endpoint, Endpoint]],
-        rng: np.random.Generator,
-        count: int = 6,
-    ) -> list[PingResult]:
-        """Send ``count``-packet batches over every ``(src, dst)`` leg.
-
-        All legs' packets are sampled together in a handful of vectorized
-        RNG draws; results come back in leg order.
-
-        Raises:
-            MeasurementError: if ``count`` is not positive.
-        """
-        if count <= 0:
-            raise MeasurementError(f"ping count must be positive, got {count}")
-        matrix = self._model.sample_rtt_matrix(legs, rng, count)
-        return [
-            PingResult(
-                src_id=src.node_id, dst_id=dst.node_id, rtts_ms=self._row_to_rtts(row)
-            )
-            for (src, dst), row in zip(legs, matrix)
-        ]
-
-    def median_many(
-        self,
-        legs: Sequence[tuple[Endpoint, Endpoint]],
-        rng: np.random.Generator,
-        count: int = 6,
-        min_valid: int = 3,
-    ) -> np.ndarray:
-        """Batch medians for every leg, skipping per-packet object churn.
-
-        Returns a ``(len(legs),)`` float array: the batch median where at
-        least ``min_valid`` packets were answered, NaN otherwise — the same
-        numbers ``ping(...).median_rtt(min_valid)`` produces, computed
-        vectorized.  This is the campaign's hot path.
-
-        Raises:
-            MeasurementError: if ``count`` is not positive.
-        """
-        if count <= 0:
-            raise MeasurementError(f"ping count must be positive, got {count}")
-        matrix = self._model.sample_rtt_matrix(legs, rng, count)
-        return self._batch_medians(matrix, min_valid)
-
     def median_from_entries(
         self,
         base: np.ndarray,
@@ -149,11 +103,14 @@ class PingEngine:
     ) -> np.ndarray:
         """Batch medians for legs whose ``(base, loss)`` entries are given.
 
-        The grid-indexed twin of :meth:`median_many`: the campaign gathers
-        each leg's deterministic terms from a per-round
-        :class:`~repro.latency.model.PairGrid` and hands them in, so no
-        per-leg pair resolution runs at all.  Same sampling, same RNG
-        consumption, bit-identical medians for the same entry vectors.
+        Returns a ``(len(base),)`` float array: the batch median where at
+        least ``min_valid`` of ``count`` packets were answered, NaN
+        otherwise — the number :meth:`PingResult.median_rtt` gives for the
+        same packets (:meth:`LatencyModel.sample_rtt_entries` draws them),
+        computed vectorized.  The campaign gathers each leg's deterministic
+        terms from a per-round :class:`~repro.latency.model.PairGrid` and
+        hands them in, so no per-leg pair resolution runs at all.  This is
+        the campaign's hot path.
 
         Raises:
             MeasurementError: if ``count`` is not positive.

@@ -343,8 +343,8 @@ class RoutingFabric:
         arrays: every (attachment, destination-AS) walk advances one AS hop
         per iteration through the walker's dense hop tables, so the whole
         grid costs a handful of NumPy gathers per path-length level instead
-        of a Python loop per walk.  Delay assembly mirrors the scalar
-        ``LatencyModel.path_one_way_ms`` operation order bit-exactly.
+        of a Python loop per walk.  Delay assembly mirrors
+        ``LatencyModel._one_way_batch``'s operation order bit-exactly.
         """
         matrix = walker.matrix
         num = len(attachments)

@@ -211,25 +211,6 @@ class ShortcutService:
         )
 
     @classmethod
-    def from_result(
-        cls,
-        result: CampaignResult,
-        max_rounds: int | None = None,
-        rounds=None,
-        *,
-        liveness_rounds: int | None = None,
-        spill: int = 2,
-    ) -> ShortcutService:
-        """Legacy spelling of :meth:`from_campaign` (positional knobs)."""
-        return cls.from_campaign(
-            result,
-            rounds=rounds,
-            max_rounds=max_rounds,
-            liveness_rounds=liveness_rounds,
-            spill=spill,
-        )
-
-    @classmethod
     def load(
         cls,
         file: str | IO[bytes],

@@ -173,37 +173,3 @@ class TestSymmetryMeasurement:
         assert len(pairs) > 5
         for fwd, rev in pairs:
             assert fwd > 0 and rev > 0
-
-
-class TestPairGridParity:
-    """The grid-indexed measurement path must reproduce the per-leg
-    pair-cache path bit for bit, column for column."""
-
-    def test_campaign_output_bit_identical(self):
-        import numpy as np
-
-        from repro import build_world
-        from repro.topology.config import TopologyConfig
-        from repro.world import WorldConfig
-
-        config = WorldConfig(topology=TopologyConfig(country_limit=8))
-        tables = []
-        pings = []
-        for use_grid in (True, False):
-            world = build_world(seed=5, config=config)
-            campaign = MeasurementCampaign(
-                world, CampaignConfig(num_rounds=2), use_pair_grid=use_grid
-            )
-            result = campaign.run()
-            tables.append(result.table)
-            pings.append(result.total_pings)
-        grid_table, legacy_table = tables
-        assert pings[0] == pings[1]
-        for name in (
-            "round_idx", "e1_id", "e2_id", "e1_cc", "e2_cc", "e1_city",
-            "e2_city", "direct_rtt_ms", "best_relay", "best_stitched",
-            "feasible", "country_flags", "imp_indptr", "imp_relay", "imp_gain",
-        ):
-            a = getattr(grid_table, name)
-            b = getattr(legacy_table, name)
-            assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name

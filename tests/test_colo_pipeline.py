@@ -46,23 +46,6 @@ class TestFunnel:
         assert [r.node.node_id for r in a] == [r.node.node_id for r in b]
         assert report_a is report_b
 
-    def test_batched_geolocation_parity(self, small_world):
-        """Batch-resolving the geolocation legs must not change anything:
-        same RNG consumption, same verified pool, same funnel."""
-        batched, report_batched = ColoRelayPipeline(
-            small_world, CampaignConfig()
-        ).run()
-        scalar, report_scalar = ColoRelayPipeline(
-            small_world, CampaignConfig(), batch_geolocation=False
-        ).run()
-        assert report_batched.funnel() == report_scalar.funnel()
-        assert [r.node.node_id for r in batched] == [
-            r.node.node_id for r in scalar
-        ]
-        assert [r.facility_id for r in batched] == [
-            r.facility_id for r in scalar
-        ]
-
 
 class TestFilterCorrectness:
     def test_survivors_single_facility(self, pipeline):

@@ -19,7 +19,7 @@ from repro.geo.cities import all_cities, city as city_of
 from repro.geo.distance import great_circle_km, propagation_delay_ms
 from repro.geo.matrix import CityDelayMatrix
 from repro.latency.model import Endpoint, LatencyConfig, LatencyModel
-from repro.latency.ping import PingEngine
+from repro.latency.ping import PingEngine, PingResult
 from repro.topology.config import TopologyConfig
 from repro.world import WorldConfig
 
@@ -214,34 +214,37 @@ class TestBatchPingEquivalence:
         assert matrix.shape == (2, 5)
         assert np.all(np.isnan(matrix))
 
-    def test_ping_many_matches_ping_semantics(self, small_world):
+    def test_ping_batch_semantics(self, small_world):
         engine = PingEngine(small_world.latency)
         e1, e2, e3 = (
             _endpoint(small_world, 0),
             _endpoint(small_world, 40),
             _endpoint(small_world, 50),
         )
-        results = engine.ping_many(
-            [(e1, e2), (e1, e3), (e2, e3)], np.random.default_rng(5), count=6
-        )
-        assert [r.src_id for r in results] == [e1.node_id, e1.node_id, e2.node_id]
-        for r in results:
-            assert r.num_sent == 6
-            for rtt in r.valid_rtts:
+        rng = np.random.default_rng(5)
+        for src, dst in ((e1, e2), (e1, e3), (e2, e3)):
+            result = engine.ping(src, dst, rng, count=6)
+            assert (result.src_id, result.dst_id) == (src.node_id, dst.node_id)
+            assert result.num_sent == 6
+            for rtt in result.valid_rtts:
                 assert rtt > 0
 
-    def test_median_many_matches_ping_median(self, small_world):
-        """median_many must produce exactly a PingResult median for the same
-        draws (same rng stream consumed the same way)."""
-        engine = PingEngine(small_world.latency)
-        legs = [
-            (_endpoint(small_world, 0), _endpoint(small_world, 50)),
-            (_endpoint(small_world, 10), _endpoint(small_world, 60)),
-        ]
-        meds = engine.median_many(legs, np.random.default_rng(6), count=6, min_valid=3)
-        results = engine.ping_many(legs, np.random.default_rng(6), count=6)
-        for med, result in zip(meds, results):
-            expected = result.median_rtt(3)
+    def test_median_from_entries_matches_ping_median(self, small_world):
+        """median_from_entries must produce exactly a PingResult median for
+        the same draws (same rng stream consumed the same way)."""
+        model = small_world.latency
+        engine = PingEngine(model)
+        srcs = [_endpoint(small_world, 0), _endpoint(small_world, 10)]
+        dsts = [_endpoint(small_world, 50), _endpoint(small_world, 60)]
+        grid = model.pair_grid(srcs, dsts)
+        base, loss = np.diagonal(grid.base), np.diagonal(grid.loss)
+        meds = engine.median_from_entries(
+            base, loss, np.random.default_rng(6), count=6, min_valid=3
+        )
+        packets = model.sample_rtt_entries(base, loss, np.random.default_rng(6), 6)
+        for med, src, dst, row in zip(meds, srcs, dsts, packets):
+            rtts = tuple(float(v) if v == v else None for v in row)
+            expected = PingResult(src.node_id, dst.node_id, rtts).median_rtt(3)
             if expected is None:
                 assert med != med
             else:

@@ -1,0 +1,179 @@
+"""Frozen digests of the measurement engine's outputs.
+
+Every value here was recorded from the reference implementations the
+engine used to carry next to its vectorized paths: the per-leg
+pair-cache campaign engine, the scalar base-RTT resolver, the unbatched
+geolocation filter and the per-observation prediction loops.  Those
+engines existed only so parity tests could diff against them; the digests
+now pin the same behaviour without the second implementation.  The
+engine must reproduce every value bit for bit.  A change that moves one
+on purpose updates it here and says why in its commit message.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro import CampaignConfig, MeasurementCampaign, build_world
+from repro.core.colo import ColoRelayPipeline
+from repro.core.oracle import LaneHistory, evaluate_prediction
+from repro.core.types import RelayType
+from repro.latency.model import Endpoint, LatencyModel
+from repro.topology.config import TopologyConfig
+from repro.topology.types import ASType
+from repro.world import WorldConfig
+
+#: (table-payload blake2b, pings sent) of conftest's ``small_campaign_result``
+#: (seed 11, 16 countries, 3 rounds).
+SMALL_CAMPAIGN = (
+    "88d958cbf7ba959e2ddab3fb7fd66bb87f00aea8422e3ba1dc1ce0d28105e4e6"
+    "36d0fd23b655a6069e808007f8875706f3c326c0cd0ba5f36950466b80b7f7fa",
+    41916,
+)
+#: The same for a seed-5, 8-country, 2-round campaign on a fresh world.
+SEED5_CAMPAIGN = (
+    "85cfbe9fd4ecc14c371304f65c1551d5d5820652b0927be26130aeb2b6d5f42f"
+    "655a742f2b31c155472d09cb80c5bc0f549f611fb77ce460d382c3a18c059bd4",
+    11130,
+)
+#: The small world's Sec 2.2 funnel and (count, digest) of its verified
+#: ``node_id@facility_id`` pool, in pipeline order.
+COLO_FUNNEL = [1176, 672, 522, 463, 443, 165]
+COLO_VERIFIED = (165, "94b0b0618bb652229536b3d06de17956")
+#: (pairs, digest) of ``measure_direction_symmetry(0)`` as ``fwd rev`` hex.
+SYMMETRY = (91, "632be54ed7d365c45b6eae09bb954494")
+#: (ordered pairs, unrouted, digest) of ``base_rtt_ms`` as ``float.hex``.
+BASE_RTT = (240, 0, "147150b758eba9d7d7719fc827738b0a")
+#: ``evaluate_prediction`` on the small campaign:
+#: (evaluated, hit_at_k, captured_gain_frac.hex()).
+PREDICTION_SCORES = {
+    (RelayType.COR, 1): (75, 7, "0x1.cbc91fc0a477ep-3"),
+    (RelayType.COR, 3): (75, 21, "0x1.1e0cf7e8a43c1p-1"),
+    (RelayType.COR, 5): (75, 25, "0x1.4f0d7ef720736p-1"),
+    (RelayType.PLR, 1): (21, 2, "0x1.7797b507df7dbp-3"),
+    (RelayType.PLR, 3): (21, 3, "0x1.529b23b8dd006p-2"),
+    (RelayType.PLR, 5): (21, 4, "0x1.c0b02b0dfe405p-2"),
+    (RelayType.RAR_OTHER, 1): (59, 13, "0x1.f8c2ae56bbd4bp-2"),
+    (RelayType.RAR_OTHER, 3): (59, 28, "0x1.905fa39b0a729p-1"),
+    (RelayType.RAR_OTHER, 5): (59, 36, "0x1.b990d412bf59cp-1"),
+    (RelayType.RAR_EYE, 1): (6, 2, "0x1.5555555555555p-2"),
+    (RelayType.RAR_EYE, 3): (6, 2, "0x1.5555555555555p-2"),
+    (RelayType.RAR_EYE, 5): (6, 2, "0x1.5555555555555p-2"),
+}
+#: Per relay type: (country-pair lanes, lanes with a prediction, digest) of
+#: ``predict_ccs(cc1, cc2, 4)`` over every lane of the small campaign.
+LANE_PREDICTIONS = {
+    RelayType.COR: (91, 89, "16966e756dff1312ab6d1018b90b3387"),
+    RelayType.RAR_OTHER: (91, 74, "2e7e04dd3e51a993b506b35b0cba7231"),
+}
+
+SMALL_CONFIG = WorldConfig(topology=TopologyConfig(country_limit=16))
+
+
+def table_digest(table) -> str:
+    """blake2b over a table payload's keys and buffers, in key order."""
+    digest = hashlib.blake2b()
+    payload = table.to_payload()
+    for key in sorted(payload):
+        value = payload[key]
+        digest.update(key.encode())
+        digest.update(
+            value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode()
+        )
+    return digest.hexdigest()
+
+
+def lines_digest(lines) -> str:
+    return hashlib.blake2b("\n".join(lines).encode(), digest_size=16).hexdigest()
+
+
+def _fresh_small_world(fabric: bool):
+    world = build_world(seed=11, config=SMALL_CONFIG, use_world_cache=False)
+    if fabric:
+        world.ensure_routing_fabric()
+    return world
+
+
+class TestCampaignDigests:
+    def test_small_campaign(self, small_campaign_result):
+        result = small_campaign_result
+        assert (table_digest(result.table), result.total_pings) == SMALL_CAMPAIGN
+
+    def test_seed5_campaign(self):
+        config = WorldConfig(topology=TopologyConfig(country_limit=8))
+        world = build_world(seed=5, config=config, use_world_cache=False)
+        result = MeasurementCampaign(world, CampaignConfig(num_rounds=2)).run()
+        assert (table_digest(result.table), result.total_pings) == SEED5_CAMPAIGN
+
+    @pytest.mark.parametrize("fabric", [False, True], ids=["no-fabric", "fabric"])
+    def test_direction_symmetry(self, fabric):
+        campaign = MeasurementCampaign(_fresh_small_world(fabric), CampaignConfig())
+        pairs = campaign.measure_direction_symmetry(0)
+        lines = [f"{fwd.hex()} {rev.hex()}" for fwd, rev in pairs]
+        assert (len(pairs), lines_digest(lines)) == SYMMETRY
+
+
+class TestColoPipeline:
+    def test_funnel_and_verified_pool(self, small_world):
+        verified, report = ColoRelayPipeline(small_world, CampaignConfig()).run()
+        assert report.funnel() == COLO_FUNNEL
+        lines = [f"{relay.node.node_id}@{relay.facility_id}" for relay in verified]
+        assert (len(lines), lines_digest(lines)) == COLO_VERIFIED
+
+
+class TestBaseRtt:
+    @staticmethod
+    def _pairs(world) -> list[tuple[Endpoint, Endpoint]]:
+        """Every ordered pair over probes, colo interfaces, an off-grid
+        monitor and an ad-hoc endpoint reusing a probe's node id."""
+        probes = [p.node.endpoint for p in world.atlas.all_probes()[:8]]
+        colos = [i.node.endpoint for i in world.colo_pool.live_interfaces()[:6]]
+        tier1 = world.graph.get_as(
+            world.topology.asns_of_type(ASType.TRANSIT_GLOBAL)[0]
+        )
+        monitor = Endpoint("pipeline-monitor", tier1.asn, tier1.primary_city, 1.0, 0.001)
+        first = probes[0]
+        reuse = Endpoint(first.node_id, first.asn, first.city_key, 10.0, 0.0)
+        endpoints = probes + colos + [monitor, reuse]
+        return [(s, d) for s in endpoints for d in endpoints if s is not d]
+
+    @pytest.mark.parametrize("fabric", [False, True], ids=["no-fabric", "fabric"])
+    def test_base_rtt_bits(self, small_world, fabric):
+        model = LatencyModel(
+            small_world.routing, small_world.walker, small_world.latency.config
+        )
+        if fabric:
+            small_world.ensure_routing_fabric()
+            model.set_attachment_grid(*small_world.latency.attachment_grid())
+        values = [model.base_rtt_ms(s, d) for s, d in self._pairs(small_world)]
+        lines = ["None" if v is None else v.hex() for v in values]
+        assert (len(lines), lines.count("None"), lines_digest(lines)) == BASE_RTT
+
+
+class TestPrediction:
+    def test_evaluate_prediction_scores(self, small_campaign_result):
+        for (relay_type, k), expected in PREDICTION_SCORES.items():
+            score = evaluate_prediction(small_campaign_result, relay_type, k)
+            got = (score.evaluated, score.hit_at_k, score.captured_gain_frac.hex())
+            assert got == expected, (relay_type, k)
+
+    def test_lane_predictions(self, small_campaign_result):
+        table = small_campaign_result.table
+        names = table.pools.countries
+        lanes = sorted(
+            {
+                tuple(sorted((names[a], names[b])))
+                for a, b in zip(table.e1_cc.tolist(), table.e2_cc.tolist())
+            }
+        )
+        for relay_type, expected in LANE_PREDICTIONS.items():
+            history = LaneHistory.from_table(table, relay_type)
+            lines = [
+                f"{cc1}-{cc2}:{','.join(map(str, history.predict_ccs(cc1, cc2, 4)))}"
+                for cc1, cc2 in lanes
+            ]
+            predicted = sum(1 for line in lines if not line.endswith(":"))
+            assert (len(lines), predicted, lines_digest(lines)) == expected, relay_type

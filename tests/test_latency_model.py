@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigError, MeasurementError
 from repro.latency.backbone import STRETCH_RANGES, BackboneStretch
 from repro.latency.model import Endpoint, LatencyConfig
-from repro.latency.ping import PingEngine
+from repro.latency.ping import PingEngine, PingResult
 from repro.topology.types import ASType
 
 
@@ -105,9 +105,10 @@ class TestBaseRtt:
     def test_path_cache_effective(self, small_world):
         model = small_world.latency
         e1, e2 = _endpoint(small_world, 0), _endpoint(small_world, 50)
-        first = model.path_one_way_ms(e1.asn, e1.city_key, e2.asn, e2.city_key)
-        second = model.path_one_way_ms(e1.asn, e1.city_key, e2.asn, e2.city_key)
-        assert first == second
+        key = (e1.asn, e1.city_key, e2.asn, e2.city_key)
+        first = model._one_way_batch([key])
+        assert key in model._path_cache
+        assert model._one_way_batch([key, key]) == first * 2
 
 
 class TestSampledRtt:
@@ -274,20 +275,27 @@ class TestPairGrid:
         )
         assert np.array_equal(via_pairs, via_entries, equal_nan=True)
 
-    def test_median_from_entries_matches_median_many(
+    def test_median_from_entries_matches_ping_results(
         self, small_world, grid_endpoints
     ):
-        engine = PingEngine(small_world.latency)
+        """Grid medians equal PingResult medians of the same legs' packets
+        sampled through the per-leg resolver."""
+        model = small_world.latency
+        engine = PingEngine(model)
         rows, cols = grid_endpoints[:6], grid_endpoints[6:]
         pairs = [(s, d) for s in rows for d in cols]
-        grid = small_world.latency.pair_grid(rows, cols)
-        rng_a = np.random.default_rng(7)
-        rng_b = np.random.default_rng(7)
-        via_pairs = engine.median_many(pairs, rng_a)
+        grid = model.pair_grid(rows, cols)
         via_entries = engine.median_from_entries(
-            grid.base.reshape(-1), grid.loss.reshape(-1), rng_b
+            grid.base.reshape(-1), grid.loss.reshape(-1), np.random.default_rng(7)
         )
-        assert np.array_equal(via_pairs, via_entries, equal_nan=True)
+        packets = model.sample_rtt_matrix(pairs, np.random.default_rng(7), 6)
+        for (src, dst), row, med in zip(pairs, packets, via_entries.tolist()):
+            rtts = tuple(float(v) if v == v else None for v in row)
+            expected = PingResult(src.node_id, dst.node_id, rtts).median_rtt(3)
+            if expected is None:
+                assert med != med
+            else:
+                assert med == expected
 
     def test_empty_grid(self, small_world):
         grid = small_world.latency.pair_grid([], [])

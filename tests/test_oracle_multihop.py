@@ -1,17 +1,15 @@
 """Tests for the VIA-style predictor and the 1-vs-2-relay study."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.analysis.multihop import two_relay_study
-from repro.core.oracle import (
-    LaneHistory,
-    RelayPredictor,
-    evaluate_prediction,
-    evaluate_prediction_loop,
-)
+from repro.core.oracle import LaneHistory, evaluate_prediction
 from repro.core.results import CampaignResult, PairObservation
-from repro.core.types import RELAY_TYPE_ORDER, RelayType
+from repro.core.table import ObservationTable
+from repro.core.types import RelayType
 from repro.errors import AnalysisError
 
 
@@ -31,30 +29,38 @@ def _obs(round_index, cc1, cc2, improving, direct=100.0):
     )
 
 
-class TestRelayPredictor:
+def _history(*observations: PairObservation) -> LaneHistory:
+    return LaneHistory.from_table(ObservationTable.from_observations(observations))
+
+
+class TestLaneHistoryRanking:
     def test_predicts_most_frequent(self):
-        predictor = RelayPredictor()
-        for _ in range(3):
-            predictor.observe(_obs(0, "DE", "US", [(1, 10.0), (2, 5.0)]))
-        predictor.observe(_obs(0, "DE", "US", [(2, 5.0)]))
-        predictor.observe(_obs(0, "DE", "US", [(3, 50.0)]))
+        history = _history(
+            *[_obs(0, "DE", "US", [(1, 10.0), (2, 5.0)])] * 3,
+            _obs(0, "DE", "US", [(2, 5.0)]),
+            _obs(0, "DE", "US", [(3, 50.0)]),
+        )
         # relay 2 improved 4 times, relay 1 three times, relay 3 once
-        assert predictor.predict(_obs(1, "DE", "US", []), k=2) == [2, 1]
+        assert history.predict_ccs("DE", "US", k=2) == [2, 1]
 
     def test_country_pair_key_symmetric(self):
-        predictor = RelayPredictor()
-        predictor.observe(_obs(0, "DE", "US", [(7, 10.0)]))
-        assert predictor.predict(_obs(1, "US", "DE", []), k=1) == [7]
+        history = _history(_obs(0, "DE", "US", [(7, 10.0)]))
+        assert history.predict_ccs("US", "DE", k=1) == [7]
 
     def test_no_history_predicts_empty(self):
-        predictor = RelayPredictor()
-        assert predictor.predict(_obs(0, "FR", "JP", []), k=3) == []
-        assert not predictor.has_history(_obs(0, "FR", "JP", []))
+        assert _history().predict_ccs("FR", "JP", k=3) == []
+        # known countries whose lane never improved have no history either
+        history = _history(
+            _obs(0, "FR", "JP", []), _obs(0, "DE", "US", [(7, 10.0)])
+        )
+        assert history.num_lanes == 1
+        assert history.predict_ccs("FR", "JP", k=3) == []
 
     def test_bad_k(self):
-        predictor = RelayPredictor()
-        with pytest.raises(AnalysisError):
-            predictor.predict(_obs(0, "DE", "US", []), k=0)
+        history = _history(_obs(0, "DE", "US", [(7, 10.0)]))
+        for cc1, cc2 in (("DE", "US"), ("FR", "JP")):
+            with pytest.raises(AnalysisError):
+                history.predict_ccs(cc1, cc2, k=0)
 
 
 class TestEvaluatePrediction:
@@ -87,36 +93,8 @@ class TestEvaluatePrediction:
 
 
 class TestColumnarParity:
-    """The columnar predictor/evaluation must be bit-equal to the loops."""
-
-    def test_evaluate_prediction_bit_equal(self, small_campaign_result):
-        for relay_type in RELAY_TYPE_ORDER:
-            for k in (1, 3, 5):
-                columnar = evaluate_prediction(small_campaign_result, relay_type, k)
-                loop = evaluate_prediction_loop(small_campaign_result, relay_type, k)
-                assert columnar.evaluated == loop.evaluated
-                assert columnar.hit_at_k == loop.hit_at_k
-                # bit-equal, not approximately equal: the columnar path
-                # accumulates the captured-gain sum in the loop's order
-                assert columnar.captured_gain_frac == loop.captured_gain_frac
-
-    def test_lane_history_matches_loop_predictor(self, small_campaign_result):
-        table = small_campaign_result.table
-        for relay_type in (RelayType.COR, RelayType.RAR_OTHER):
-            history = LaneHistory.from_table(table, relay_type)
-            predictor = RelayPredictor(relay_type)
-            for obs in small_campaign_result.observations():
-                predictor.observe(obs)
-            seen = set()
-            for obs in small_campaign_result.observations():
-                key = tuple(sorted((obs.e1_cc, obs.e2_cc)))
-                if key in seen:
-                    continue
-                seen.add(key)
-                assert history.predict_ccs(obs.e1_cc, obs.e2_cc, 4) == (
-                    predictor.predict(obs, 4)
-                )
-            assert history.num_lanes <= len(seen)
+    """Edge cases of the columnar predictor and evaluation; their outputs
+    on the small campaign are frozen in tests/test_golden.py."""
 
     def test_lane_history_unknown_country_empty(self, small_campaign_result):
         history = LaneHistory.from_table(small_campaign_result.table)
@@ -131,13 +109,22 @@ class TestColumnarParity:
             evaluate_prediction(single)
 
     def test_columnar_k_validation(self, small_campaign_result):
-        reference = evaluate_prediction(small_campaign_result, RelayType.COR, 1)
-        if reference.evaluated == 0:
-            pytest.skip("fixture evaluated nothing")
         with pytest.raises(AnalysisError):
             evaluate_prediction(small_campaign_result, RelayType.COR, 0)
+
+    def test_k_validated_when_last_round_evaluates_nothing(
+        self, small_campaign_result
+    ):
+        rounds = small_campaign_result.rounds
+        silent = dataclasses.replace(
+            rounds[-1], table=ObservationTable.empty(rounds[-1].table.pools)
+        )
+        result = CampaignResult(
+            rounds=[*rounds[:-1], silent], registry=small_campaign_result.registry
+        )
+        assert evaluate_prediction(result, RelayType.COR, 1).evaluated == 0
         with pytest.raises(AnalysisError):
-            evaluate_prediction_loop(small_campaign_result, RelayType.COR, 0)
+            evaluate_prediction(result, RelayType.COR, 0)
 
 
 class TestTwoRelayStudy:

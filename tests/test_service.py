@@ -14,8 +14,7 @@ import io
 import numpy as np
 import pytest
 
-from repro.core.oracle import RelayPredictor
-from repro.core.results import PairObservation
+from repro.core.oracle import LaneHistory
 from repro.core.types import RELAY_TYPE_ORDER, RelayType
 from repro.errors import ServiceError
 from repro.service import (
@@ -34,7 +33,7 @@ from repro.service import (
 
 @pytest.fixture(scope="module")
 def service(small_campaign_result):
-    return ShortcutService.from_result(small_campaign_result)
+    return ShortcutService.from_campaign(small_campaign_result)
 
 
 def _snapshot_bytes(svc: ShortcutService) -> bytes:
@@ -49,8 +48,8 @@ def _unpack(key: int) -> tuple[int, int]:
 
 class TestDirectoryCompile:
     def test_snapshot_deterministic(self, small_campaign_result):
-        a = ShortcutService.from_result(small_campaign_result)
-        b = ShortcutService.from_result(small_campaign_result)
+        a = ShortcutService.from_campaign(small_campaign_result)
+        b = ShortcutService.from_campaign(small_campaign_result)
         assert _snapshot_bytes(a) == _snapshot_bytes(b)
         assert a.directory.block_signature() == b.directory.block_signature()
 
@@ -84,14 +83,12 @@ class TestDirectoryCompile:
                     assert order == sorted(order), "lane not (-count, relay) ranked"
         assert checked > 0
 
-    def test_country_ranking_matches_loop_predictor(
+    def test_country_ranking_matches_lane_history(
         self, small_campaign_result, service
     ):
-        """The country tier is the vectorised VIA predictor: same ranking
-        as the loop RelayPredictor for every lane."""
-        predictor = RelayPredictor(RelayType.COR)
-        for obs in small_campaign_result.observations():
-            predictor.observe(obs)
+        """The country tier is the VIA predictor: same ranking as
+        :class:`LaneHistory` for every lane."""
+        history = LaneHistory.from_table(small_campaign_result.table, RelayType.COR)
         directory = service.directory
         block = directory.block(TIER_COUNTRY, RelayType.COR)
         names = directory.countries()
@@ -99,13 +96,7 @@ class TestDirectoryCompile:
         relays, _ = block.top_k(np.arange(block.num_lanes), 5)
         for lane in range(block.num_lanes):
             lo, hi = _unpack(block.keys[lane])
-            probe = PairObservation(
-                round_index=0, e1_id="x", e2_id="y",
-                e1_cc=names[lo], e2_cc=names[hi],
-                e1_city="c/x", e2_city="c/y", direct_rtt_ms=1.0,
-                best_by_type={}, improving_by_type={}, feasible_by_type={},
-            )
-            expected = predictor.predict(probe, 5)
+            expected = history.predict_ccs(names[lo], names[hi], 5)
             assert [int(r) for r in relays[lane] if r >= 0] == expected
 
     def test_expected_reduction_is_mean_gain(self, small_campaign_result, service):
@@ -250,7 +241,7 @@ class TestIngest:
         incremental = ShortcutService.empty(max_rounds=2)
         for rnd in small_campaign_result.rounds:
             incremental.ingest_round(rnd)
-        scratch = ShortcutService.from_result(
+        scratch = ShortcutService.from_campaign(
             small_campaign_result,
             rounds=small_campaign_result.rounds[1:],
             max_rounds=2,
@@ -337,12 +328,12 @@ class TestSnapshot:
 
     def test_roundtrip_keeps_ingesting(self, small_campaign_result):
         """A restored service continues incremental ingestion seamlessly."""
-        svc = ShortcutService.from_result(
+        svc = ShortcutService.from_campaign(
             small_campaign_result, rounds=small_campaign_result.rounds[:-1]
         )
         restored = ShortcutService.load(io.BytesIO(_snapshot_bytes(svc)))
         restored.ingest_round(small_campaign_result.rounds[-1])
-        reference = ShortcutService.from_result(small_campaign_result)
+        reference = ShortcutService.from_campaign(small_campaign_result)
         assert (
             restored.directory.block_signature()
             == reference.directory.block_signature()

@@ -78,21 +78,6 @@ class TestDirectConstructor:
 
 
 class TestConstructorEquivalence:
-    def test_from_result_forwards_to_from_campaign(
-        self, small_campaign_result
-    ):
-        legacy = ShortcutService.from_result(
-            small_campaign_result,
-            max_rounds=2,
-            rounds=small_campaign_result.rounds[1:],
-        )
-        modern = ShortcutService.from_campaign(
-            small_campaign_result,
-            max_rounds=2,
-            rounds=small_campaign_result.rounds[1:],
-        )
-        assert _snapshot_bytes(legacy) == _snapshot_bytes(modern)
-
     def test_load_forwards_to_from_snapshot(self, service):
         data = _snapshot_bytes(service)
         legacy = ShortcutService.load(io.BytesIO(data))

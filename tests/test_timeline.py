@@ -349,10 +349,10 @@ class TestZeroEventByteIdentity:
         ]
 
     def test_compiled_service_byte_identical(self, static_result, silent_result):
-        static_sig = ShortcutService.from_result(
+        static_sig = ShortcutService.from_campaign(
             static_result
         ).directory.block_signature()
-        silent_sig = ShortcutService.from_result(
+        silent_sig = ShortcutService.from_campaign(
             silent_result
         ).directory.block_signature()
         assert static_sig == silent_sig
@@ -441,19 +441,6 @@ class TestFaultedCampaign:
             faulted.rounds[1].direct_medians != static.rounds[1].direct_medians
         )
 
-    def test_link_events_require_pair_grid(self, small_world):
-        timeline = TimelineConfig(
-            events=(
-                LinkDegradation(start_round=0, end_round=1, num_pairs=1),
-            )
-        )
-        with pytest.raises(ConfigError):
-            MeasurementCampaign(
-                small_world,
-                CampaignConfig(num_rounds=ROUNDS, timeline=timeline),
-                use_pair_grid=False,
-            )
-
 
 # ------------------------------------------------------- health & routing
 
@@ -489,8 +476,8 @@ class TestRelayHealth:
     def test_health_off_matches_legacy_when_nothing_is_stale(
         self, small_campaign_result
     ):
-        legacy = ShortcutService.from_result(small_campaign_result)
-        guarded = ShortcutService.from_result(
+        legacy = ShortcutService.from_campaign(small_campaign_result)
+        guarded = ShortcutService.from_campaign(
             small_campaign_result,
             liveness_rounds=len(small_campaign_result.rounds),
         )
@@ -507,7 +494,7 @@ class TestRelayHealth:
     def test_dead_relays_never_answer(self, outage_run):
         _, faulted = outage_run
         # retain only the outage round: everything absent from it is stale
-        service = ShortcutService.from_result(
+        service = ShortcutService.from_campaign(
             faulted, rounds=faulted.rounds[:2], liveness_rounds=1
         )
         dead = service.directory.stale_relay_mask(1)
@@ -524,12 +511,12 @@ class TestRelayHealth:
 
     def test_service_validation(self, small_campaign_result):
         with pytest.raises(ServiceError):
-            ShortcutService.from_result(small_campaign_result, liveness_rounds=0)
+            ShortcutService.from_campaign(small_campaign_result, liveness_rounds=0)
         with pytest.raises(ServiceError):
-            ShortcutService.from_result(small_campaign_result, spill=-1)
+            ShortcutService.from_campaign(small_campaign_result, spill=-1)
 
     def test_stats_report_health(self, small_campaign_result):
-        service = ShortcutService.from_result(
+        service = ShortcutService.from_campaign(
             small_campaign_result, liveness_rounds=1, spill=3
         )
         stats = service.stats()
@@ -542,7 +529,7 @@ class TestRelayHealth:
 class TestSnapshotMidChurn:
     def test_restore_and_continue_is_byte_identical(self, outage_run):
         _, faulted = outage_run
-        live = ShortcutService.from_result(
+        live = ShortcutService.from_campaign(
             faulted, rounds=faulted.rounds[:2], liveness_rounds=1
         )
         buffer = io.BytesIO()
@@ -591,7 +578,7 @@ class TestLoadgenDegenerateWorkloads:
         assert src.dtype == np.int64
 
     def test_empty_replay_reports_none_rates(self, small_campaign_result):
-        service = ShortcutService.from_result(small_campaign_result)
+        service = ShortcutService.from_campaign(small_campaign_result)
         weights = {cc: 0.0 for cc in service.directory.countries()}
         stats = replay(
             service, LoadgenConfig(num_queries=512, country_weights=weights)
@@ -661,7 +648,7 @@ class TestTypedServiceErrors:
     def test_unseen_endpoint_code_stays_structural(self, small_campaign_result):
         # -1 is the loadgen's "unknown id" sentinel: a routable miss, not
         # an error — it must keep resolving to the direct tier
-        service = ShortcutService.from_result(small_campaign_result)
+        service = ShortcutService.from_campaign(small_campaign_result)
         codes = service.encode_endpoints(["no-such-probe"])
         assert codes[0] == -1
         decision = service.route("no-such-probe", "also-missing", RelayType.COR)
