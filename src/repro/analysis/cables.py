@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.results import CampaignResult
-from repro.core.types import RelayType
+from repro.core.types import RELAY_TYPE_ORDER, RelayType
 from repro.errors import AnalysisError
 from repro.geo.cables import LandingPointIndex
 from repro.geo.cities import city as city_of
@@ -52,14 +54,6 @@ class CableProximityAnalysis:
         self._result = result
         self._threshold = threshold_km
         self._index = LandingPointIndex()
-        self._distance_cache: dict[str, float] = {}
-
-    def _distance(self, city_key: str) -> float:
-        cached = self._distance_cache.get(city_key)
-        if cached is None:
-            cached = self._index.distance_km(city_of(city_key).location)
-            self._distance_cache[city_key] = cached
-        return cached
 
     def report(self, relay_type: RelayType = RelayType.COR) -> CableProximityReport:
         """Split intercontinental pairs by landing-point proximity.
@@ -67,32 +61,31 @@ class CableProximityAnalysis:
         Raises:
             AnalysisError: if either group ends up empty (tiny campaigns).
         """
-        near_direct, far_direct = [], []
-        near_improved = far_improved = 0
-        for obs in self._result.observations():
-            if not obs.is_intercontinental:
-                continue  # cable proximity only matters across oceans
-            both_near = (
-                self._distance(obs.e1_city) <= self._threshold
-                and self._distance(obs.e2_city) <= self._threshold
-            )
-            if both_near:
-                near_direct.append(obs.direct_rtt_ms)
-                near_improved += int(obs.improved(relay_type))
-            else:
-                far_direct.append(obs.direct_rtt_ms)
-                far_improved += int(obs.improved(relay_type))
-        if not near_direct or not far_direct:
+        table = self._result.table
+        continents = table.continent_codes()
+        # cable proximity only matters across oceans
+        inter = continents[table.e1_cc] != continents[table.e2_cc]
+        city_near = np.array([
+            self._index.distance_km(city_of(key).location) <= self._threshold
+            for key in table.pools.cities.values
+        ], dtype=bool)
+        both_near = city_near[table.e1_city] & city_near[table.e2_city]
+        near = inter & both_near
+        far = inter & ~both_near
+        near_pairs = int(np.count_nonzero(near))
+        far_pairs = int(np.count_nonzero(far))
+        if not near_pairs or not far_pairs:
             raise AnalysisError(
                 "not enough intercontinental pairs on both sides of the "
                 f"{self._threshold} km threshold"
             )
+        improved = table.improved_mask(RELAY_TYPE_ORDER.index(relay_type))
         return CableProximityReport(
             threshold_km=self._threshold,
-            near_pairs=len(near_direct),
-            far_pairs=len(far_direct),
-            near_direct_median_ms=median(near_direct),
-            far_direct_median_ms=median(far_direct),
-            near_improved_rate=near_improved / len(near_direct),
-            far_improved_rate=far_improved / len(far_direct),
+            near_pairs=near_pairs,
+            far_pairs=far_pairs,
+            near_direct_median_ms=median(table.direct_rtt_ms[near].tolist()),
+            far_direct_median_ms=median(table.direct_rtt_ms[far].tolist()),
+            near_improved_rate=int(np.count_nonzero(improved & near)) / near_pairs,
+            far_improved_rate=int(np.count_nonzero(improved & far)) / far_pairs,
         )

@@ -8,8 +8,8 @@ Usage (also via ``python -m repro``)::
 
     repro summary     --seed 11 [--countries 24]
     repro funnel      --seed 11
-    repro campaign    --seed 11 --rounds 4 --out result.json
-    repro campaign    --scenario lossy --out result.json
+    repro campaign    --seed 11 --rounds 4 --out result.npz
+    repro campaign    --scenario lossy --out result.npz
     repro sweep       --num-seeds 4 --seed 11 --rounds 4 --out sweep.json
     repro sweep       --scenario lossy spike-storm --seeds 11 12 --out sweep.json
     repro montecarlo  --regime tiny-mc --countries 8 --rounds 1 --out mc.json
@@ -17,12 +17,12 @@ Usage (also via ``python -m repro``)::
     repro montecarlo  --list
     repro scenarios
     repro scenarios   --verify sweep.json
-    repro analyze     result.json --report fig2
-    repro analyze     result.json --report table1 --seed 11
+    repro analyze     result.npz --report fig2
+    repro analyze     result.npz --report table1 --seed 11
     repro serve-bench
     repro serve-bench --scenario paper-scale --rounds 12 --queries 200000
     repro serve-bench --seeds 11 12 13
-    repro campaign    --seed 11 --rounds 6 --out r.json --metrics m.json --trace t.json
+    repro campaign    --seed 11 --rounds 6 --out r.npz --metrics m.json --trace t.json
     repro metrics summarize m.json
 
 The world/history knobs are shared parent parsers, so ``--seed``,
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import sys
 from collections.abc import Sequence
 
@@ -44,7 +45,7 @@ from repro.core.colo import ColoRelayPipeline
 from repro.core.config import CampaignConfig
 from repro.core.io import load_result, save_result
 from repro.core.types import RELAY_TYPE_ORDER
-from repro.errors import ReproError
+from repro.errors import ReproError, StoreError
 from repro.topology.config import TopologyConfig
 from repro.world import WorldConfig, build_world
 
@@ -151,6 +152,10 @@ def _run_workload_campaign(args: argparse.Namespace, seed: int, default_rounds: 
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    # fail before the campaign, not after it, when the result cannot land
+    out_dir = pathlib.Path(args.out).parent
+    if not out_dir.is_dir():
+        raise StoreError(args.out, f"directory {out_dir} does not exist")
     scenario_name = _single_scenario(args)
     if scenario_name is not None:
         from repro.scenarios import get_scenario, scenario_with
@@ -734,7 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[world_parent, history_parent, scenario_parent, obs_parent],
         help="run a measurement campaign",
     )
-    p_campaign.add_argument("--out", required=True, help="output JSON path")
+    p_campaign.add_argument("--out", required=True, help="result file (.npz, any suffix)")
     p_campaign.add_argument(
         "--profile", default=None, metavar="PATH",
         help="cProfile the run and write merged pstats here "
@@ -898,7 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_msummarize.set_defaults(func=_cmd_metrics_summarize)
 
     p_analyze = sub.add_parser("analyze", help="analyse a stored campaign result")
-    p_analyze.add_argument("result", help="result JSON written by 'campaign'")
+    p_analyze.add_argument("result", help="result file written by 'campaign'")
     p_analyze.add_argument("--report", choices=_REPORTS, default="summary")
     p_analyze.add_argument("--top-n", type=int, default=50, help="fig3 x-range")
     p_analyze.add_argument("--seed", type=int, default=None, help="for table1")

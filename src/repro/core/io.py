@@ -1,198 +1,155 @@
-"""Campaign result persistence.
+"""Campaign result files: run a campaign once, analyse it many times.
 
-The paper publishes its measurement data alongside the software; this
-module provides the equivalent: a versioned JSON representation of a
-:class:`~repro.core.results.CampaignResult` that round-trips exactly, so a
-campaign can be run once and analysed many times (or shared).
+Format 2 is an uncompressed ``.npz`` written through
+:mod:`repro.core.store`, whatever the file's suffix.  Members, in order:
+``meta`` (one JSON string: ``format_version``, the colo funnel,
+``verified_eyeball_tuples`` and each round's index, timestamp, endpoint
+ids, relay indices by type, pings sent and whether it recorded relay
+medians); the table string pools (``pool.*``); the relay registry's
+payload columns (``relay.*``); then per round ``k`` its
+:class:`~repro.core.table.ObservationTable` columns (``round<k>.*``) and
+its direct and relay medians as (endpoint code, endpoint code or relay
+index, ms) columns in dict insertion order (``round<k>.direct.*`` /
+``round<k>.relay.*``).  It is uncompressed because the loader
+memory-maps it: loaded columns are read-only views of the file and no
+per-case Python object is built.  Version-1 files were JSON; they, like
+any file that is not a format-2 archive, raise
+:class:`~repro.errors.StoreError` naming the path — re-run the campaign.
 """
 
 from __future__ import annotations
 
 import json
-import pathlib
-from typing import Any
+import os
 
-from repro.core.results import (
-    CampaignResult,
-    PairObservation,
-    RelayRecord,
-    RelayRegistry,
-    RoundResult,
-)
-from repro.core.table import ObservationTable, TablePools
+import numpy as np
+
+from repro.core.results import CampaignResult, RelayRegistry, RoundResult
+from repro.core.store import read_arrays, str_array, write_arrays
+from repro.core.table import Interner, ObservationTable, TablePools
 from repro.core.types import RelayType
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, StoreError
 
 #: Format version written into every file; bumped on breaking changes.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
-def _relay_to_json(record: RelayRecord) -> dict[str, Any]:
-    return {
-        "index": record.index,
-        "node_id": record.node_id,
-        "relay_type": record.relay_type.value,
-        "asn": record.asn,
-        "cc": record.cc,
-        "city_key": record.city_key,
-        "facility_id": record.facility_id,
-        "site_id": record.site_id,
-    }
-
-
-def _obs_to_json(obs: PairObservation) -> dict[str, Any]:
-    return {
-        "round": obs.round_index,
-        "e1": [obs.e1_id, obs.e1_cc, obs.e1_city],
-        "e2": [obs.e2_id, obs.e2_cc, obs.e2_city],
-        "direct": obs.direct_rtt_ms,
-        "best": {t.value: list(v) for t, v in obs.best_by_type.items()},
-        "improving": {
-            t.value: [list(entry) for entry in entries]
-            for t, entries in obs.improving_by_type.items()
-            if entries
-        },
-        "feasible": {t.value: n for t, n in obs.feasible_by_type.items() if n},
-        "groups": {
-            t.value: list(flags) for t, flags in obs.country_groups_by_type.items()
-        },
-    }
-
-
-def _obs_from_json(data: dict[str, Any]) -> PairObservation:
-    improving = {
-        RelayType(t): tuple((e[0], e[1]) for e in entries)
-        for t, entries in data["improving"].items()
-    }
-    feasible = {RelayType(t): n for t, n in data["feasible"].items()}
-    # empty entries are elided on save; restore them for exact round-trips
-    for relay_type in RelayType:
-        improving.setdefault(relay_type, ())
-        feasible.setdefault(relay_type, 0)
-    return PairObservation(
-        round_index=data["round"],
-        e1_id=data["e1"][0],
-        e2_id=data["e2"][0],
-        e1_cc=data["e1"][1],
-        e2_cc=data["e2"][1],
-        e1_city=data["e1"][2],
-        e2_city=data["e2"][2],
-        direct_rtt_ms=data["direct"],
-        best_by_type={
-            RelayType(t): (v[0], v[1]) for t, v in data["best"].items()
-        },
-        improving_by_type=improving,
-        feasible_by_type=feasible,
-        country_groups_by_type={
-            RelayType(t): tuple(bool(f) for f in flags)
-            for t, flags in data.get("groups", {}).items()
-        },
-    )
-
-
-def save_result(result: CampaignResult, path: str | pathlib.Path) -> None:
-    """Write a campaign result to ``path`` as versioned JSON."""
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "verified_eyeball_tuples": result.verified_eyeball_tuples,
-        "colo_filter_funnel": list(result.colo_filter_funnel),
-        "relays": [_relay_to_json(r) for r in result.registry],
-        "rounds": [
-            {
-                "round_index": rnd.round_index,
-                "timestamp_hours": rnd.timestamp_hours,
-                "endpoint_ids": list(rnd.endpoint_ids),
-                "relay_indices_by_type": {
-                    t.value: list(indices)
-                    for t, indices in rnd.relay_indices_by_type.items()
-                },
-                "observations": [_obs_to_json(o) for o in rnd.observations],
-                "direct_medians": [
-                    [k[0], k[1], v] for k, v in rnd.direct_medians.items()
-                ],
-                "relay_medians": (
-                    [[k[0], k[1], v] for k, v in rnd.relay_medians.items()]
-                    if rnd.relay_medians is not None
-                    else None
-                ),
-                "pings_sent": rnd.pings_sent,
-            }
-            for rnd in result.rounds
-        ],
-    }
-    pathlib.Path(path).write_text(json.dumps(payload))
-
-
-def load_result(path: str | pathlib.Path) -> CampaignResult:
-    """Read a campaign result previously written by :func:`save_result`.
+def save_result(result: CampaignResult, path: str | os.PathLike) -> None:
+    """Write a campaign result to exactly ``path`` as a format-2 archive.
 
     Raises:
-        AnalysisError: on a missing file, bad JSON, or an unsupported
-            format version.
+        StoreError: if the file cannot be written; ``path`` is then unchanged.
     """
-    file_path = pathlib.Path(path)
-    if not file_path.exists():
-        raise AnalysisError(f"no such result file: {file_path}")
+    pools = result.rounds[0].table.pools if result.rounds else TablePools.fresh()
+    if any(rnd.table.pools is not pools for rnd in result.rounds):
+        raise AnalysisError("cannot save round tables that use different pools")
+    # a copy: median endpoints missing from the pool must not grow the live one
+    endpoints = Interner(pools.endpoint_ids.values)
+    rounds, columns = [], {}
+    for k, rnd in enumerate(result.rounds):
+        rounds.append({
+            "round_index": rnd.round_index,
+            "timestamp_hours": rnd.timestamp_hours,
+            "endpoint_ids": list(rnd.endpoint_ids),
+            "relay_indices_by_type": {
+                t.value: list(v) for t, v in rnd.relay_indices_by_type.items()
+            },
+            "pings_sent": rnd.pings_sent,
+            "relay_medians": rnd.relay_medians is not None,
+        })
+        prefix = f"round{k}."
+        for name in ObservationTable._ARRAY_FIELDS:
+            columns[prefix + name] = getattr(rnd.table, name)
+        for kind, medians in (("direct", rnd.direct_medians), ("relay", rnd.relay_medians)):
+            if medians is None:
+                continue
+            second = (b for _, b in medians)
+            columns[f"{prefix}{kind}.a"] = endpoints.codes(a for a, _ in medians)
+            columns[f"{prefix}{kind}.b"] = (
+                endpoints.codes(second) if kind == "direct"
+                else np.fromiter(second, np.int32, len(medians))
+            )
+            columns[f"{prefix}{kind}.ms"] = np.fromiter(
+                medians.values(), np.float64, len(medians)
+            )
+    meta = {
+        "format_version": FORMAT_VERSION,
+        "colo_filter_funnel": list(result.colo_filter_funnel),
+        "verified_eyeball_tuples": result.verified_eyeball_tuples,
+        "rounds": rounds,
+    }
+    arrays = {
+        "meta": np.asarray([json.dumps(meta)]),
+        "pool.endpoint_ids": str_array(endpoints.values),
+        "pool.countries": str_array(pools.countries.values),
+        "pool.cities": str_array(pools.cities.values),
+    }
+    for key, values in result.registry.to_payload().items():
+        ints = key in ("asns", "facility_ids")
+        arrays["relay." + key] = np.asarray(values, np.int64) if ints else str_array(values)
+    write_arrays(path, {**arrays, **columns})
+
+
+def load_result(path: str | os.PathLike) -> CampaignResult:
+    """Read a campaign result written by :func:`save_result`.
+
+    Table columns are read-only maps of the file.
+
+    Raises:
+        StoreError: naming ``path``, if the file is missing, truncated or
+            not a format-2 result archive (a version-1 JSON file included).
+    """
+    arrays = read_arrays(path)
     try:
-        payload = json.loads(file_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise AnalysisError(f"{file_path} is not valid JSON: {exc}") from exc
-    version = payload.get("format_version")
+        meta = json.loads(str(arrays["meta"][0]))
+    except (KeyError, IndexError, ValueError) as exc:
+        raise StoreError(path, "not a campaign result file") from exc
+    version = meta.get("format_version") if isinstance(meta, dict) else None
     if version != FORMAT_VERSION:
-        raise AnalysisError(
-            f"{file_path} has format version {version}; this build reads "
-            f"{FORMAT_VERSION}"
-        )
+        raise StoreError(path, f"format version {version}; this build reads {FORMAT_VERSION}")
+    try:
+        registry = RelayRegistry.from_payload({
+            name[len("relay."):]: values.tolist()
+            for name, values in arrays.items() if name.startswith("relay.")
+        })
+        if len(registry) != arrays["relay.node_ids"].shape[0]:
+            raise StoreError(path, "relay registry repeats a node id")
+        # one pools object across rounds, as in a live campaign, so the
+        # campaign-level table stays a plain array concatenate
+        pools = TablePools(*(
+            Interner(arrays[f"pool.{name}"].tolist())
+            for name in ("endpoint_ids", "countries", "cities")
+        ))
+        endpoint = pools.endpoint_ids.values.__getitem__
 
-    registry = RelayRegistry()
-    for relay in payload["relays"]:
-        index = registry.register(
-            relay["node_id"],
-            RelayType(relay["relay_type"]),
-            relay["asn"],
-            relay["cc"],
-            relay["city_key"],
-            facility_id=relay["facility_id"],
-            site_id=relay["site_id"],
-        )
-        if index != relay["index"]:
-            raise AnalysisError(
-                f"relay index mismatch in {file_path}: {index} != {relay['index']}"
-            )
+        def medians(prefix: str, second=None) -> dict:
+            a = map(endpoint, arrays[prefix + ".a"].tolist())
+            b = arrays[prefix + ".b"].tolist()
+            keys = zip(a, map(second, b) if second else b)
+            return dict(zip(keys, arrays[prefix + ".ms"].tolist()))
 
-    rounds = []
-    # one pools object across rounds so the campaign-level table
-    # concatenation stays a plain array concatenate (as in a live campaign)
-    pools = TablePools.fresh()
-    for rnd in payload["rounds"]:
-        rounds.append(
-            RoundResult(
-                round_index=rnd["round_index"],
-                timestamp_hours=rnd["timestamp_hours"],
-                endpoint_ids=tuple(rnd["endpoint_ids"]),
+        rounds = []
+        for k, info in enumerate(meta["rounds"]):
+            prefix = f"round{k}."
+            rounds.append(RoundResult(
+                round_index=info["round_index"],
+                timestamp_hours=info["timestamp_hours"],
+                endpoint_ids=tuple(info["endpoint_ids"]),
                 relay_indices_by_type={
-                    RelayType(t): tuple(indices)
-                    for t, indices in rnd["relay_indices_by_type"].items()
+                    RelayType(t): tuple(v) for t, v in info["relay_indices_by_type"].items()
                 },
-                table=ObservationTable.from_observations(
-                    [_obs_from_json(o) for o in rnd["observations"]],
-                    pools=pools,
-                    cache_objects=True,
-                ),
-                direct_medians={
-                    (entry[0], entry[1]): entry[2] for entry in rnd["direct_medians"]
-                },
-                relay_medians=(
-                    {(entry[0], entry[1]): entry[2] for entry in rnd["relay_medians"]}
-                    if rnd["relay_medians"] is not None
-                    else None
-                ),
-                pings_sent=rnd["pings_sent"],
-            )
+                table=ObservationTable(pools, **{
+                    name: arrays[prefix + name] for name in ObservationTable._ARRAY_FIELDS
+                }),
+                direct_medians=medians(prefix + "direct", endpoint),
+                relay_medians=medians(prefix + "relay") if info["relay_medians"] else None,
+                pings_sent=info["pings_sent"],
+            ))
+        return CampaignResult(
+            rounds=rounds,
+            registry=registry,
+            verified_eyeball_tuples=meta["verified_eyeball_tuples"],
+            colo_filter_funnel=tuple(meta["colo_filter_funnel"]),
         )
-    return CampaignResult(
-        rounds=rounds,
-        registry=registry,
-        verified_eyeball_tuples=payload["verified_eyeball_tuples"],
-        colo_filter_funnel=tuple(payload["colo_filter_funnel"]),
-    )
+    except (KeyError, IndexError, ValueError) as exc:
+        raise StoreError(path, f"malformed result file ({exc!r})") from exc

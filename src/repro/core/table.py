@@ -388,16 +388,12 @@ class ObservationTable:
         cls,
         observations: Sequence[PairObservation],
         pools: TablePools | None = None,
-        cache_objects: bool = False,
     ) -> ObservationTable:
-        """Build a table from existing objects (result files, tests).
+        """Build a table from existing objects (object-level callers, tests).
 
         The adapter direction: object in, columns out.  Missing per-type
         entries get the same defaults the campaign writes (no best relay,
         zero feasible, all-false country flags, empty improving list).
-        ``cache_objects`` seeds the table's materialized-object cache with
-        the input list, so a caller that already paid for the objects
-        (the result-file loader) never rebuilds them.
         """
         pools = pools or TablePools.fresh()
         n = len(observations)
@@ -433,7 +429,7 @@ class ObservationTable:
                     imp_relay.append(relay)
                     imp_gain.append(gain)
                 indptr[i * NUM_RELAY_TYPES + code + 1] = len(imp_relay)
-        table = cls(
+        return cls(
             pools,
             round_idx=round_idx,
             e1_id=e1_id,
@@ -451,9 +447,6 @@ class ObservationTable:
             imp_relay=np.asarray(imp_relay, np.int32),
             imp_gain=np.asarray(imp_gain, float),
         )
-        if cache_objects:
-            table._materialized = list(observations)
-        return table
 
     @classmethod
     def concat(cls, tables: Sequence[ObservationTable]) -> ObservationTable:

@@ -29,15 +29,13 @@ request order), so skipping the builder cannot perturb them, and a
 restored world's campaign output is byte-identical to a fresh build's
 (asserted in ``tests/test_worldcache.py``).
 
-Snapshots are deterministic at the byte level — capturing the same state
-twice yields identical files (``np.savez`` writes members in a fixed
-order with constant timestamps) — and are written atomically (tmp +
-``os.replace``), so concurrent sweep workers racing on one key are safe.
-Loads memory-map every member (``np.savez`` stores them uncompressed, so
-each payload is a contiguous byte range of the archive), which keeps the
-per-worker resident cost of the fabric and grid near zero.  Unreadable,
-truncated, version-bumped or key-mismatched files are treated as cache
-misses, never errors: the caller rebuilds and overwrites.
+Snapshots go through :mod:`repro.core.store`: they are deterministic at
+the byte level — capturing the same state twice yields identical files —
+and written atomically, so concurrent sweep workers racing on one key are
+safe.  Loads memory-map every member, which keeps the per-worker resident
+cost of the fabric and grid near zero.  Unreadable, truncated,
+version-bumped or key-mismatched files are treated as cache misses, never
+errors: the caller rebuilds and overwrites.
 """
 
 from __future__ import annotations
@@ -45,9 +43,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import struct
-import tempfile
-import zipfile
 from hashlib import blake2b
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -55,6 +50,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 import numpy as np
 
 from repro import obs
+from repro.core.store import read_arrays, str_array, write_arrays
 from repro.errors import WorldCacheError
 from repro.net.ipv4 import IPv4Address, IPv4Prefix
 from repro.topology.builder import Topology
@@ -110,10 +106,6 @@ def _csr(rows: Iterable[Iterable]) -> tuple[np.ndarray, list]:
     return np.asarray(indptr, dtype=np.int64), flat
 
 
-def _str_array(values: list) -> np.ndarray:
-    return np.asarray(values, dtype=np.str_) if values else np.empty(0, dtype="U1")
-
-
 def capture_arrays(world: "World") -> dict[str, np.ndarray]:
     """Snapshot a world's expensive state into named flat arrays.
 
@@ -145,13 +137,13 @@ def capture_arrays(world: "World") -> dict[str, np.ndarray]:
     # ---- autonomous systems, in graph insertion order
     ases = list(graph)
     arrays["as_asn"] = np.asarray([a.asn for a in ases], dtype=np.int64)
-    arrays["as_name"] = _str_array([a.name for a in ases])
+    arrays["as_name"] = str_array([a.name for a in ases])
     arrays["as_type"] = np.asarray(
         [_ASTYPE_CODE[a.as_type] for a in ases], dtype=np.int8
     )
-    arrays["as_cc"] = _str_array([a.cc for a in ases])
+    arrays["as_cc"] = str_array([a.cc for a in ases])
     arrays["as_pop_indptr"], pops = _csr(a.pop_cities for a in ases)
-    arrays["as_pop_cities"] = _str_array(pops)
+    arrays["as_pop_cities"] = str_array(pops)
     arrays["as_prefix_indptr"], prefixes = _csr(a.prefixes for a in ases)
     arrays["as_prefix_net"] = np.asarray(
         [p.network.value for p in prefixes], dtype=np.uint32
@@ -170,7 +162,7 @@ def capture_arrays(world: "World") -> dict[str, np.ndarray]:
     arrays["edge_city_indptr"], cities = _csr(
         e.interconnect_cities for e in edges
     )
-    arrays["edge_cities"] = _str_array(cities)
+    arrays["edge_cities"] = str_array(cities)
 
     # ---- role index, rows in ASType declaration order
     arrays["bytype_indptr"], bytype = _csr(
@@ -183,9 +175,9 @@ def capture_arrays(world: "World") -> dict[str, np.ndarray]:
     # PeeringDB churn depends on their iteration order
     facs = list(topo.facilities.values())
     arrays["fac_id"] = np.asarray([f.fac_id for f in facs], dtype=np.int64)
-    arrays["fac_name"] = _str_array([f.name for f in facs])
-    arrays["fac_operator"] = _str_array([f.operator for f in facs])
-    arrays["fac_city"] = _str_array([f.city_key for f in facs])
+    arrays["fac_name"] = str_array([f.name for f in facs])
+    arrays["fac_operator"] = str_array([f.operator for f in facs])
+    arrays["fac_city"] = str_array([f.city_key for f in facs])
     arrays["fac_cloud"] = np.asarray(
         [f.cloud_services for f in facs], dtype=bool
     )
@@ -198,8 +190,8 @@ def capture_arrays(world: "World") -> dict[str, np.ndarray]:
 
     ixps = list(topo.ixps.values())
     arrays["ixp_id"] = np.asarray([x.ixp_id for x in ixps], dtype=np.int64)
-    arrays["ixp_name"] = _str_array([x.name for x in ixps])
-    arrays["ixp_city"] = _str_array([x.city_key for x in ixps])
+    arrays["ixp_name"] = str_array([x.name for x in ixps])
+    arrays["ixp_city"] = str_array([x.city_key for x in ixps])
     arrays["ixp_fac_indptr"], ixp_facs = _csr(
         sorted(x.facility_ids) for x in ixps
     )
@@ -227,16 +219,16 @@ def capture_arrays(world: "World") -> dict[str, np.ndarray]:
     # ---- attachment delay grid, rows in attachment id order
     arrays["grid"] = np.ascontiguousarray(grid)
     arrays["att_asn"] = np.asarray([asn for asn, _ in att_ids], dtype=np.int64)
-    arrays["att_city"] = _str_array([city for _, city in att_ids])
+    arrays["att_city"] = str_array([city for _, city in att_ids])
 
     # ---- geographic walk memo
     memo = world.fabric.walk_memo.prefixes
-    arrays["memo_src"] = _str_array([src for src, _ in memo])
+    arrays["memo_src"] = str_array([src for src, _ in memo])
     arrays["memo_path_indptr"], memo_paths = _csr(
         path for _, path in memo
     )
     arrays["memo_path"] = np.asarray(memo_paths, dtype=np.int64)
-    arrays["memo_end"] = _str_array([v[0] for v in memo.values()])
+    arrays["memo_end"] = str_array([v[0] for v in memo.values()])
     arrays["memo_km"] = np.asarray(
         [v[2] for v in memo.values()], dtype=np.float64
     )
@@ -389,52 +381,6 @@ class WorldSnapshot:
 # --------------------------------------------------------------- the cache
 
 
-def _mmap_npz(path: str) -> dict[str, np.ndarray]:
-    """Map every member of an uncompressed ``.npz`` without copying.
-
-    ``np.savez`` stores members ``ZIP_STORED``, so each ``.npy`` payload
-    is a contiguous byte range of the archive — parse the zip local
-    header for the data offset, the npy header for dtype/shape, and
-    ``np.memmap`` the rest.  Raises on anything unexpected; the caller treats that as
-    a cache miss.
-    """
-    members: dict[str, np.ndarray] = {}
-    with zipfile.ZipFile(path) as archive, open(path, "rb") as raw:
-        for info in archive.infolist():
-            if info.compress_type != zipfile.ZIP_STORED:
-                raise WorldCacheError(f"member {info.filename} is compressed")
-            raw.seek(info.header_offset)
-            local = raw.read(30)
-            if local[:4] != b"PK\x03\x04":
-                raise WorldCacheError(f"bad local header for {info.filename}")
-            name_len, extra_len = struct.unpack("<HH", local[26:30])
-            raw.seek(info.header_offset + 30 + name_len + extra_len)
-            version = np.lib.format.read_magic(raw)
-            if version == (1, 0):
-                shape, fortran, dtype = np.lib.format.read_array_header_1_0(raw)
-            elif version == (2, 0):
-                shape, fortran, dtype = np.lib.format.read_array_header_2_0(raw)
-            else:
-                raise WorldCacheError(f"unsupported npy version {version}")
-            if dtype.hasobject:
-                raise WorldCacheError(f"member {info.filename} holds objects")
-            name = info.filename
-            if name.endswith(".npy"):
-                name = name[:-4]
-            if int(np.prod(shape)) == 0:
-                members[name] = np.zeros(shape, dtype)
-            else:
-                members[name] = np.memmap(
-                    path,
-                    dtype=dtype,
-                    mode="r",
-                    offset=raw.tell(),
-                    shape=shape,
-                    order="F" if fortran else "C",
-                )
-    return members
-
-
 class WorldCache:
     """An on-disk directory of world snapshots keyed by (config, seed).
 
@@ -457,8 +403,10 @@ class WorldCache:
 
     def _load(self, seed: int, config: "WorldConfig") -> WorldSnapshot | None:
         path = self.path_for(seed, config)
+        if not path.exists():
+            return None
         try:
-            arrays = _mmap_npz(os.fspath(path))
+            arrays = read_arrays(path)
             meta = json.loads(str(arrays["meta"][0]))
             if meta["snapshot_version"] != SNAPSHOT_VERSION:
                 return None
@@ -477,45 +425,16 @@ class WorldCache:
             ):
                 arrays[name].shape  # noqa: B018 — existence check
             return WorldSnapshot(arrays)
-        except FileNotFoundError:
-            return None
         except Exception:
             obs.inc("world.cache.defects")
             return None
 
     def store(self, world: "World") -> Path:
-        """Capture and write the world's snapshot atomically.
-
-        Safe under concurrent writers racing on the same key: each writes
-        a private temp file in the cache directory and ``os.replace``\\ s
-        it over the final name.
-        """
+        """Capture and write the world's snapshot atomically (:mod:`repro.core.store`)."""
         with obs.span("world.cache.store"):
-            return self._store(world)
-
-    def _store(self, world: "World") -> Path:
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(world.seed, world.config)
-        arrays = capture_arrays(world)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.root, prefix=path.stem + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, **arrays)
-            # mkstemp files are 0600; open the snapshot up to the umask's
-            # default so a shared cache directory works across users
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
+            self.root.mkdir(parents=True, exist_ok=True)
+            path = self.path_for(world.seed, world.config)
+            return write_arrays(path, capture_arrays(world))
 
 
 def resolve_cache(

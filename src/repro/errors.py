@@ -77,3 +77,15 @@ class WorldCacheError(ReproError):
     Raised only for caller bugs (capturing before the fabric is built,
     restoring onto a mismatched world); unreadable or stale cache *files*
     never raise — they are treated as misses and rebuilt."""
+
+
+class StoreError(ReproError):
+    """An array file could not be written, or is missing, truncated, not an
+    archive or of another format version.  ``path`` names the file."""
+
+    def __init__(self, path, reason: str) -> None:
+        super().__init__(path, reason)  # both in args, so it pickles
+        self.path = path
+
+    def __str__(self) -> str:
+        return "%s: %s" % self.args

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis.cables import CableProximityAnalysis
+from repro.analysis.cables import CableProximityAnalysis, CableProximityReport
+from repro.core.types import RelayType
 from repro.errors import AnalysisError
 from repro.geo.cables import LandingPointIndex, all_landing_points
 from repro.geo.coords import GeoPoint
@@ -57,3 +58,24 @@ class TestCableProximityAnalysis:
         analysis = CableProximityAnalysis(small_campaign_result, threshold_km=700.0)
         report = analysis.report()
         assert report.near_direct_median_ms <= report.far_direct_median_ms * 1.3
+
+    def test_report_is_frozen(self, small_campaign_result):
+        """Values recorded from the per-observation implementation."""
+        analysis = CableProximityAnalysis(small_campaign_result, threshold_km=700.0)
+        common = dict(
+            threshold_km=700.0,
+            near_pairs=129,
+            far_pairs=75,
+            near_direct_median_ms=235.84429416815897,
+            far_direct_median_ms=226.10402023371637,
+        )
+        assert analysis.report() == CableProximityReport(
+            **common,
+            near_improved_rate=0.8837209302325582,
+            far_improved_rate=0.9733333333333334,
+        )
+        assert analysis.report(RelayType.RAR_EYE) == CableProximityReport(
+            **common,
+            near_improved_rate=0.17829457364341086,
+            far_improved_rate=0.13333333333333333,
+        )

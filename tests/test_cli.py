@@ -130,6 +130,24 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "error:" in err
 
+    def test_analyze_non_result_file_is_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1,2]")
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(path) in err
+
+    def test_campaign_checks_out_dir_before_running(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir" / "r.json"
+        code = main(["campaign", "--seed", "3", "--countries", "8",
+                     "--rounds", "1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(out) in err
+        assert "round 0" not in err  # failed before the campaign ran
+
     def test_analyze_full_report(self, tmp_path, capsys):
         out_file = tmp_path / "result.json"
         main(["campaign", "--seed", "3", "--countries", "8", "--rounds", "2",

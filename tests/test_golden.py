@@ -19,6 +19,7 @@ import pytest
 
 from repro import CampaignConfig, MeasurementCampaign, build_world
 from repro.core.colo import ColoRelayPipeline
+from repro.core.io import load_result, save_result
 from repro.core.oracle import LaneHistory, evaluate_prediction
 from repro.core.types import RelayType
 from repro.latency.model import Endpoint, LatencyModel
@@ -101,6 +102,12 @@ class TestCampaignDigests:
     def test_small_campaign(self, small_campaign_result):
         result = small_campaign_result
         assert (table_digest(result.table), result.total_pings) == SMALL_CAMPAIGN
+
+    def test_small_campaign_through_result_file(self, small_campaign_result, tmp_path):
+        path = tmp_path / "result.npz"
+        save_result(small_campaign_result, path)
+        loaded = load_result(path)
+        assert (table_digest(loaded.table), loaded.total_pings) == SMALL_CAMPAIGN
 
     def test_seed5_campaign(self):
         config = WorldConfig(topology=TopologyConfig(country_limit=8))

@@ -11,14 +11,17 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import zipfile
 
 import numpy as np
 import pytest
 
 import repro.core.worldcache as worldcache
+from repro import obs
 from repro.core.campaign import MeasurementCampaign
 from repro.core.config import CampaignConfig
+from repro.core.store import read_arrays
 from repro.core.worldcache import (
     WorldCache,
     capture_arrays,
@@ -26,7 +29,7 @@ from repro.core.worldcache import (
     resolve_cache,
     snapshot_key,
 )
-from repro.errors import RoutingError, WorldCacheError
+from repro.errors import RoutingError, StoreError, WorldCacheError
 from repro.topology.config import TopologyConfig
 from repro.world import WorldConfig, build_world
 
@@ -186,6 +189,28 @@ class TestDefectiveFiles:
             for info in zin.infolist():
                 zout.writestr(info.filename, zin.read(info.filename))
         assert target.load(SEED, CONFIG) is None
+
+
+    def test_defects_are_typed_and_counted_as_misses(self, warm_cache, tmp_path):
+        """The shared store reader raises its typed error for each defect;
+        the cache counts it and misses.  An absent file is a plain miss."""
+        cache, _ = warm_cache
+        good = cache.path_for(SEED, CONFIG).read_bytes()
+        target = WorldCache(tmp_path)
+        path = target.path_for(SEED, CONFIG)
+        obs.enable(metrics=True)
+        try:
+            for data in (good[:4096], good[:-64], b"not a zip archive"):
+                path.write_bytes(data)
+                with pytest.raises(StoreError, match=re.escape(str(path))):
+                    read_arrays(path)
+                assert target.load(SEED, CONFIG) is None
+            path.unlink()
+            assert target.load(SEED, CONFIG) is None
+            counters = obs.metrics_registry().to_payload()["counters"]
+        finally:
+            obs.disable()
+        assert counters["world.cache.defects"] == 3
 
 
 class TestAtomicWrites:
