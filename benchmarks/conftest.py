@@ -4,8 +4,8 @@ The benchmarks regenerate every figure and table of the paper against a
 full-scale world.  The campaign (6 rounds here vs the paper's 45; scaling
 is linear and the shapes stabilise after a few rounds) runs once per
 session; each bench then times its analysis and prints the reproduced
-series, also writing them under ``benchmarks/results/`` so EXPERIMENTS.md
-can cite them.
+series, also writing them under ``benchmarks/results/`` so
+``benchmarks/README.md`` can cite them.
 """
 
 from __future__ import annotations

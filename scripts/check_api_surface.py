@@ -1,14 +1,15 @@
 #!/usr/bin/env python
 """Guard the public API surfaces (CI lint job).
 
-Three checks per guarded package, each cheap and loud:
+Three checks, each cheap and loud:
 
-1. The README's API bullet list for the package (lines shaped ``- `Name`
-   — ...`` under its ``### <X> API`` heading) must name exactly the
-   package's ``__all__`` — the documented surface and the exported
-   surface cannot drift apart.
-2. Every name in ``__all__`` must be sorted and actually resolve on the
-   package (no stale exports).
+1. The README's API bullet list for each guarded package (lines shaped
+   ``- `Name` — ...`` under its ``### <X> API`` heading) must name
+   exactly the package's ``__all__`` — the documented surface and the
+   exported surface cannot drift apart.
+2. Every name in the ``__all__`` of every ``repro`` package must resolve
+   on the package (no stale exports, no typo in a lazy export table), and
+   a guarded package's ``__all__`` must be sorted.
 3. ``examples/`` and ``tests/`` must not import ``_``-private names from
    ``repro`` (``from repro.x import _y`` or ``from repro.x._y import``)
    — everything they need is supposed to be on the public surface.
@@ -114,12 +115,26 @@ def check_package(heading: str, package_name: str) -> tuple[list[str], int]:
 
     if exported != sorted(exported):
         failures.append(f"{package_name}.__all__ is not sorted")
-    for name in exported:
-        if not hasattr(package, name):
-            failures.append(
-                f"{package_name}.__all__ names missing symbol {name!r}"
-            )
     return failures, len(exported)
+
+
+def unresolved_exports() -> list[str]:
+    """Failures for ``__all__`` names that do not resolve, in every package."""
+    import importlib
+
+    src = ROOT / "src"
+    failures: list[str] = []
+    for init in sorted((src / "repro").rglob("__init__.py")):
+        package_name = ".".join(init.parent.relative_to(src).parts)
+        package = importlib.import_module(package_name)
+        for name in package.__all__:
+            try:
+                getattr(package, name)
+            except (AttributeError, ImportError) as exc:
+                failures.append(
+                    f"{package_name}.__all__ names missing symbol {name!r} ({exc})"
+                )
+    return failures
 
 
 def main() -> int:
@@ -129,6 +144,7 @@ def main() -> int:
         package_failures, exported = check_package(heading, package_name)
         failures.extend(package_failures)
         total += exported
+    failures.extend(unresolved_exports())
 
     for tree in (ROOT / "examples", ROOT / "tests"):
         for hit in private_imports(tree):
@@ -140,7 +156,8 @@ def main() -> int:
         return 1
     print(
         f"api-surface: ok ({total} symbols documented across "
-        f"{len(SECTIONS)} packages, no private imports in examples/ or tests/)"
+        f"{len(SECTIONS)} packages, every package's exports resolve, "
+        f"no private imports in examples/ or tests/)"
     )
     return 0
 

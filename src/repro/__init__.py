@@ -17,50 +17,13 @@ Quickstart::
     result = campaign.run()
     print(result.summary())
 
-See ``DESIGN.md`` for the full system inventory and ``EXPERIMENTS.md`` for the
-paper-vs-measured record of every figure and table.
+See ``README.md`` for the command line and the public API, and
+``benchmarks/README.md`` for the scripts that regenerate each figure and
+table.  Every name below loads on first use, so ``from repro import X``
+imports only the module that defines ``X``.
 """
 
-from repro.world import World, WorldConfig, build_world
-from repro.core.config import CampaignConfig
-from repro.core.campaign import MeasurementCampaign
-from repro.core.results import CampaignResult, PairObservation, RoundResult
-from repro.core.sweep import (
-    SweepEntry,
-    SweepRequest,
-    SweepResult,
-    run_sweep,
-)
-from repro.core.montecarlo import (
-    MonteCarloConfig,
-    MonteCarloManager,
-    ParamSpec,
-    run_montecarlo,
-)
-from repro.core.table import ObservationTable, TablePools
-from repro.routing.fabric import RoutingFabric
-from repro.scenarios import (
-    Regime,
-    Scenario,
-    get_regime,
-    get_scenario,
-    list_regimes,
-    list_scenarios,
-    scenario_names,
-)
-from repro.service import RelayDirectory, ShortcutService
-from repro.timeline import (
-    LinkDegradation,
-    ProbeChurn,
-    RelayOutage,
-    TimelineConfig,
-    TrafficShift,
-    rolling_outages,
-)
-from repro.analysis.improvements import ImprovementAnalysis
-from repro.analysis.ranking import TopRelayAnalysis
-from repro.analysis.facilities import FacilityTable
-from repro.analysis.stability import StabilityAnalysis
+from repro._lazy import lazy_exports
 
 __version__ = "1.5.0"
 
@@ -105,3 +68,43 @@ __all__ = [
     "StabilityAnalysis",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.world": ("World", "WorldConfig", "build_world"),
+        "repro.core.config": ("CampaignConfig",),
+        "repro.core.campaign": ("MeasurementCampaign",),
+        "repro.core.results": ("CampaignResult", "PairObservation", "RoundResult"),
+        "repro.core.sweep": ("SweepEntry", "SweepRequest", "SweepResult", "run_sweep"),
+        "repro.core.montecarlo": (
+            "MonteCarloConfig",
+            "MonteCarloManager",
+            "ParamSpec",
+            "run_montecarlo",
+        ),
+        "repro.core.table": ("ObservationTable", "TablePools"),
+        "repro.routing.fabric": ("RoutingFabric",),
+        "repro.scenarios.registry": (
+            "Scenario",
+            "get_scenario",
+            "list_scenarios",
+            "scenario_names",
+        ),
+        "repro.scenarios.regimes": ("Regime", "get_regime", "list_regimes"),
+        "repro.service.directory": ("RelayDirectory",),
+        "repro.service.service": ("ShortcutService",),
+        "repro.timeline.events": (
+            "LinkDegradation",
+            "ProbeChurn",
+            "RelayOutage",
+            "TimelineConfig",
+            "TrafficShift",
+            "rolling_outages",
+        ),
+        "repro.analysis.improvements": ("ImprovementAnalysis",),
+        "repro.analysis.ranking": ("TopRelayAnalysis",),
+        "repro.analysis.facilities": ("FacilityTable",),
+        "repro.analysis.stability": ("StabilityAnalysis",),
+    },
+)

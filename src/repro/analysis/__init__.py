@@ -3,28 +3,7 @@ of the paper's Sec 3, plus the cross-regime paper-shape reductions
 (:mod:`repro.analysis.scenarios`) and the Monte-Carlo risk reductions
 (:mod:`repro.analysis.montecarlo`)."""
 
-from repro.analysis.countries import CountryChangeAnalysis
-from repro.analysis.facilities import FacilityRow, FacilityTable
-from repro.analysis.improvements import ImprovementAnalysis
-from repro.analysis.montecarlo import (
-    bootstrap_ci,
-    draw_metrics,
-    hold_probability,
-    risk_summary,
-    summary_converged,
-    top_relay_coverage,
-)
-from repro.analysis.ranking import TopRelayAnalysis
-from repro.analysis.scenarios import (
-    check_expectations,
-    compare_scenarios,
-    paper_shapes,
-    scenario_metrics,
-    scenario_report,
-)
-from repro.analysis.stability import StabilityAnalysis
-from repro.analysis.symmetry import SymmetryAnalysis
-from repro.analysis.voip import VoipAnalysis
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CountryChangeAnalysis",
@@ -47,3 +26,31 @@ __all__ = [
     "summary_converged",
     "top_relay_coverage",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.countries": ("CountryChangeAnalysis",),
+        "repro.analysis.facilities": ("FacilityRow", "FacilityTable"),
+        "repro.analysis.improvements": ("ImprovementAnalysis",),
+        "repro.analysis.montecarlo": (
+            "bootstrap_ci",
+            "draw_metrics",
+            "hold_probability",
+            "risk_summary",
+            "summary_converged",
+            "top_relay_coverage",
+        ),
+        "repro.analysis.ranking": ("TopRelayAnalysis",),
+        "repro.analysis.scenarios": (
+            "check_expectations",
+            "compare_scenarios",
+            "paper_shapes",
+            "scenario_metrics",
+            "scenario_report",
+        ),
+        "repro.analysis.stability": ("StabilityAnalysis",),
+        "repro.analysis.symmetry": ("SymmetryAnalysis",),
+        "repro.analysis.voip": ("VoipAnalysis",),
+    },
+)

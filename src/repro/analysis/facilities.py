@@ -10,13 +10,16 @@ colocated networks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.analysis.ranking import TopRelayAnalysis
 from repro.core.results import CampaignResult
 from repro.core.types import RELAY_TYPE_ORDER, RelayType
-from repro.world import World
+
+if TYPE_CHECKING:
+    from repro.world import World
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,9 +3,8 @@
 Path inflation (Spring et al., SIGCOMM 2003) is the mechanism behind every
 TIV the paper exploits: the direct BGP path's geographic course exceeds
 the geodesic.  This survey samples endpoint pairs, walks their policy
-paths, and reports the inflation distribution — the knob EXPERIMENTS.md
-points at when explaining why our improvement magnitudes differ from the
-paper's.
+paths, and reports the inflation distribution — the knob that explains
+why the improvement magnitudes reproduced here differ from the paper's.
 """
 
 from __future__ import annotations

@@ -8,6 +8,8 @@ or write to disk.  Used by the CLI and handy in notebooks.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.analysis.countries import CountryChangeAnalysis
 from repro.analysis.facilities import FacilityTable
 from repro.analysis.improvements import ImprovementAnalysis
@@ -17,7 +19,9 @@ from repro.analysis.voip import VoipAnalysis
 from repro.core.results import CampaignResult
 from repro.core.types import RELAY_TYPE_ORDER, RelayType
 from repro.errors import AnalysisError
-from repro.world import World
+
+if TYPE_CHECKING:
+    from repro.world import World
 
 
 def _section(title: str) -> list[str]:

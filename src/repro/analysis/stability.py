@@ -9,10 +9,58 @@ coefficient of variation across rounds is below 10% for 90% of pairs,
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Mapping, Sequence
+
+import numpy as np
+
 from repro.core.results import CampaignResult
 from repro.core.types import RELAY_TYPE_ORDER, RelayType
 from repro.errors import AnalysisError
-from repro.util.stats import coefficient_of_variation
+
+
+def series_cvs(rounds: Sequence[Mapping], min_occurrences: int) -> list[float]:
+    """Coefficient of variation of each key's values across ``rounds``.
+
+    ``rounds`` holds one ``{key: value}`` mapping per round; a key seen in
+    fewer than ``min_occurrences`` (at least 2) rounds is skipped.  Each CV is
+    :func:`~repro.util.stats.coefficient_of_variation` of the key's values
+    in round order, computed for all keys at once: keys are listed in order
+    of first appearance, sums run left to right like Python's ``sum``, and
+    squares call ``pow`` like ``** 2``.
+
+    Raises:
+        AnalysisError: if a kept key's values have a zero mean.
+    """
+    chain = itertools.chain.from_iterable
+    size = sum(map(len, rounds))
+    # a key's code is the number of distinct keys seen before it first appears
+    index: dict = {}
+    codes = np.fromiter(
+        map(index.setdefault, chain(rounds), map(len, itertools.repeat(index))), np.intp, size
+    )
+    values = np.fromiter(chain(r.values() for r in rounds), np.float64, size)
+    counts = np.bincount(codes, minlength=len(index))
+    starts = np.cumsum(counts) - counts
+    keep = counts >= min_occurrences
+    counts, starts = counts[keep], starts[keep]
+    # one row per kept key: its values in round order, zero-padded
+    grouped = values[np.argsort(codes, kind="stable")]
+    live = np.arange(counts.max(initial=0)) < counts[:, None]
+    offsets = np.where(live, starts[:, None] + np.arange(live.shape[1]), 0)
+    rows = np.where(live, grouped[offsets], 0.0)
+
+    def row_sums(matrix: np.ndarray) -> np.ndarray:
+        total = np.zeros(len(matrix))
+        for column in matrix.T:
+            total += column
+        return total
+
+    mean = row_sums(rows) / counts
+    if np.any(mean == 0.0):
+        raise AnalysisError("coefficient_of_variation() undefined for zero mean")
+    squares = np.where(live, np.float_power(rows - mean[:, None], 2.0), 0.0)
+    return (np.sqrt(row_sums(squares) / counts) / np.abs(mean)).tolist()
 
 
 class StabilityAnalysis:
@@ -30,15 +78,7 @@ class StabilityAnalysis:
 
     def direct_pair_cvs(self) -> list[float]:
         """CV of each recurring direct pair's per-round medians."""
-        series: dict[tuple[str, str], list[float]] = {}
-        for rnd in self._result.rounds:
-            for key, value in rnd.direct_medians.items():
-                series.setdefault(key, []).append(value)
-        return [
-            coefficient_of_variation(values)
-            for values in series.values()
-            if len(values) >= self._min_occ
-        ]
+        return series_cvs([rnd.direct_medians for rnd in self._result.rounds], self._min_occ)
 
     def relay_pair_cvs(self) -> list[float]:
         """CV of each recurring (endpoint, relay) leg's medians.
@@ -46,19 +86,10 @@ class StabilityAnalysis:
         Raises:
             AnalysisError: if the campaign did not record relay medians.
         """
-        series: dict[tuple[str, int], list[float]] = {}
-        for rnd in self._result.rounds:
-            if rnd.relay_medians is None:
-                raise AnalysisError(
-                    "campaign was configured with record_relay_medians=False"
-                )
-            for key, value in rnd.relay_medians.items():
-                series.setdefault(key, []).append(value)
-        return [
-            coefficient_of_variation(values)
-            for values in series.values()
-            if len(values) >= self._min_occ
-        ]
+        medians = [rnd.relay_medians for rnd in self._result.rounds]
+        if any(m is None for m in medians):
+            raise AnalysisError("campaign was configured with record_relay_medians=False")
+        return series_cvs(medians, self._min_occ)
 
     def all_cvs(self, include_relay_legs: bool = True) -> list[float]:
         """CVs of all recurring pairs (direct plus, optionally, legs)."""
@@ -109,11 +140,12 @@ class StabilityAnalysis:
             include_relay_legs=self._result.rounds[0].relay_medians is not None
         )
         if cvs:
+            values = np.asarray(cvs)
             info["num_recurring_pairs"] = float(len(cvs))
             info["frac_cv_below_10pct"] = round(
-                sum(1 for cv in cvs if cv < 0.10) / len(cvs), 4
+                int(np.count_nonzero(values < 0.10)) / len(cvs), 4
             )
-            info["max_cv"] = round(max(cvs), 4)
+            info["max_cv"] = round(float(values.max()), 4)
         for relay_type in RELAY_TYPE_ORDER:
             series = [f for _, f in self.per_round_improved_fractions(relay_type)]
             if series:

@@ -38,16 +38,18 @@ import json
 import pathlib
 import sys
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
+# what every command needs; each command imports the rest itself, so it
+# loads only the subsystems it runs
 from repro import obs
-from repro.core.campaign import MeasurementCampaign
-from repro.core.colo import ColoRelayPipeline
-from repro.core.config import CampaignConfig
 from repro.core.io import load_result, save_result
 from repro.core.types import RELAY_TYPE_ORDER
 from repro.errors import ReproError, StoreError
-from repro.topology.config import TopologyConfig
-from repro.world import WorldConfig, build_world
+
+if TYPE_CHECKING:
+    from repro.scenarios import Scenario
+    from repro.world import World, WorldConfig
 
 _REPORTS = ("fig2", "fig3", "fig4", "table1", "countries", "voip", "stability", "summary", "full")
 
@@ -63,29 +65,45 @@ def _single_scenario(args: argparse.Namespace) -> str | None:
     return args.scenario[0]
 
 
-def _world_cache_kwargs(args: argparse.Namespace) -> dict:
-    """``build_world`` cache kwargs from the shared --world-cache flags.
+def build_world(
+    args: argparse.Namespace, seed: int | None = None, config: WorldConfig | None = None
+) -> World:
+    """The world a command runs on, under the shared --world-cache flags.
 
-    ``getattr`` defaults keep commands whose parsers predate the flags
-    (``analyze`` declares --seed/--countries itself) on the env-driven
-    default path."""
-    return {
-        "world_cache": getattr(args, "world_cache", None),
-        "use_world_cache": not getattr(args, "no_world_cache", False),
-    }
+    ``config`` is a scenario's world config; without one, the default
+    world limited to ``--countries``.  ``seed`` defaults to ``--seed``.
+    The world stack is imported here, on the first call, so a command
+    that builds no world never loads it.  ``getattr`` defaults keep
+    ``analyze``, whose parser declares no cache flags, on the
+    env-driven default cache path.
+    """
+    from repro import world
+    from repro.topology.config import TopologyConfig
+
+    if config is None:
+        config = world.WorldConfig(topology=TopologyConfig(country_limit=args.countries))
+    return world.build_world(
+        seed=args.seed if seed is None else seed,
+        config=config,
+        world_cache=getattr(args, "world_cache", None),
+        use_world_cache=not getattr(args, "no_world_cache", False),
+    )
 
 
-def _build_world_from_args(args: argparse.Namespace):
-    topology = TopologyConfig(country_limit=args.countries)
-    return build_world(
-        seed=args.seed,
-        config=WorldConfig(topology=topology),
-        **_world_cache_kwargs(args),
+def _scenario(args: argparse.Namespace, name: str) -> Scenario:
+    """Scenario ``name`` with the shared history flags applied."""
+    from repro.scenarios import get_scenario, scenario_with
+
+    return scenario_with(
+        get_scenario(name),
+        rounds=args.rounds,
+        countries=args.countries,
+        max_countries=args.max_countries,
     )
 
 
 def _cmd_summary(args: argparse.Namespace) -> int:
-    world = _build_world_from_args(args)
+    world = build_world(args)
     for key, value in world.summary().items():
         print(f"{key:>28}: {value}")
     return 0
@@ -93,8 +111,9 @@ def _cmd_summary(args: argparse.Namespace) -> int:
 
 def _cmd_funnel(args: argparse.Namespace) -> int:
     from repro.analysis.plotting import render_funnel
+    from repro.core.colo import ColoRelayPipeline
 
-    world = _build_world_from_args(args)
+    world = build_world(args)
     pipeline = ColoRelayPipeline(world)
     _, report = pipeline.run()
     stages = [("initial", report.initial)] + list(report.stages)
@@ -106,49 +125,35 @@ def _cmd_funnel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_workload_campaign(args: argparse.Namespace, seed: int, default_rounds: int):
+def _run_workload_campaign(
+    args: argparse.Namespace, seed: int, default_rounds: int, progress=None
+):
     """One campaign under the shared world/history/scenario flags.
 
-    Returns ``(result, campaign, scenario, workload)`` — the scenario and
-    the campaign object are None/campaign-less only in spirit: scenario is
-    None without ``--scenario``, and ``campaign`` always carries the
-    timeline for chaos-aware callers.
+    Returns ``(result, campaign, scenario, workload)``: ``scenario`` is
+    None without ``--scenario``, and ``campaign`` carries the timeline
+    for chaos-aware callers.
     """
     scenario_name = _single_scenario(args)
     if scenario_name is not None:
-        from repro.scenarios import get_scenario, scenario_with
-
-        scenario = scenario_with(
-            get_scenario(scenario_name),
-            rounds=args.rounds,
-            countries=args.countries,
-            max_countries=args.max_countries,
-        )
-        world = build_world(
-            seed=seed, config=scenario.world, **_world_cache_kwargs(args)
-        )
-        campaign = MeasurementCampaign(world, scenario.campaign)
-        workload = (
-            f"scenario {scenario_name}, seed {seed}, "
-            f"{scenario.campaign.num_rounds} rounds"
-        )
+        scenario = _scenario(args, scenario_name)
+        world = build_world(args, seed, scenario.world)
+        config = scenario.campaign
+        workload = f"scenario {scenario_name}, seed {seed}, {config.num_rounds} rounds"
     else:
+        from repro.core.config import CampaignConfig
+
         scenario = None
-        countries = args.countries
         rounds = args.rounds if args.rounds is not None else default_rounds
-        topology = TopologyConfig(country_limit=countries)
-        world = build_world(
-            seed=seed,
-            config=WorldConfig(topology=topology),
-            **_world_cache_kwargs(args),
-        )
-        campaign = MeasurementCampaign(
-            world,
-            CampaignConfig(num_rounds=rounds, max_countries=args.max_countries),
-        )
-        scope = f"{countries}-country world" if countries else "full world"
+        world = build_world(args, seed)
+        config = CampaignConfig(num_rounds=rounds, max_countries=args.max_countries)
+        scope = f"{args.countries}-country world" if args.countries else "full world"
         workload = f"{scope}, seed {seed}, {rounds} rounds"
-    return campaign.run(), campaign, scenario, workload
+    # after the build, so the world stack the engine shares loads inside it
+    from repro.core.campaign import MeasurementCampaign
+
+    campaign = MeasurementCampaign(world, config)
+    return campaign.run(progress=progress), campaign, scenario, workload
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -156,30 +161,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     out_dir = pathlib.Path(args.out).parent
     if not out_dir.is_dir():
         raise StoreError(args.out, f"directory {out_dir} does not exist")
-    scenario_name = _single_scenario(args)
-    if scenario_name is not None:
-        from repro.scenarios import get_scenario, scenario_with
-
-        scenario = scenario_with(
-            get_scenario(scenario_name),
-            rounds=args.rounds,
-            countries=args.countries,
-            max_countries=args.max_countries,
-        )
-        world = build_world(
-            seed=args.seed, config=scenario.world, **_world_cache_kwargs(args)
-        )
-        config = scenario.campaign
-    else:
-        world = _build_world_from_args(args)
-        rounds = args.rounds if args.rounds is not None else 4
-        config = CampaignConfig(num_rounds=rounds, max_countries=args.max_countries)
-    campaign = MeasurementCampaign(world, config)
-    result = campaign.run(
+    result, _, _, _ = _run_workload_campaign(
+        args,
+        args.seed,
+        default_rounds=4,
         progress=lambda i, rnd: print(
             f"round {i}: {rnd.num_pairs()} pairs, {rnd.pings_sent} pings",
             file=sys.stderr,
-        )
+        ),
     )
     save_result(result, args.out)
     print(f"wrote {result.total_cases} observations to {args.out}")
@@ -617,8 +606,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             return 2
         from repro.analysis.facilities import FacilityTable
 
-        world = _build_world_from_args(args)
-        print(FacilityTable(result, world).render())
+        print(FacilityTable(result, build_world(args)).render())
     elif report == "countries":
         from repro.analysis.countries import CountryChangeAnalysis
 
@@ -643,16 +631,24 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     elif report == "full":
         from repro.analysis.report import full_report
 
-        world = _build_world_from_args(args) if args.seed is not None else None
+        world = build_world(args) if args.seed is not None else None
         print(full_report(result, world))
     return 0
 
 
 def _cmd_metrics_summarize(args: argparse.Namespace) -> int:
-    from repro.obs.summarize import summarize_metrics
-
-    artifact = obs.load_artifact(args.artifact)
-    print(summarize_metrics(artifact))
+    path = args.artifact
+    try:
+        text = obs.summarize_metrics(obs.load_artifact(path))
+    except FileNotFoundError:
+        raise ReproError(f"{path}: no such file") from None
+    except OSError as exc:
+        raise ReproError(f"{path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ReproError(f"{path}: not JSON ({exc})") from None
+    except ValueError as exc:  # valid JSON, but not a metrics artifact
+        raise ReproError(f"{path}: {exc}") from None
+    print(text)
     return 0
 
 

@@ -3,15 +3,7 @@ selection at Colos (2.2) and elsewhere (2.3), speed-of-light feasibility
 (2.4), and the round-based measurement campaign with overlay stitching
 (2.5)."""
 
-from repro.core.types import RelayType
-from repro.core.config import CampaignConfig
-from repro.core.eyeballs import EyeballSelector
-from repro.core.colo import ColoRelayPipeline, FilterReport, VerifiedColoRelay
-from repro.core.relays import AtlasRelaySelector, PlanetLabRelaySelector
-from repro.core.feasibility import feasibility_mask, feasible_relays, is_feasible
-from repro.core.stitching import stitch_rtt, is_tiv
-from repro.core.results import CampaignResult, PairObservation, RelayRecord, RoundResult
-from repro.core.campaign import MeasurementCampaign
+from repro._lazy import lazy_exports
 
 __all__ = [
     "RelayType",
@@ -33,3 +25,18 @@ __all__ = [
     "CampaignResult",
     "MeasurementCampaign",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.types": ("RelayType",),
+        "repro.core.config": ("CampaignConfig",),
+        "repro.core.eyeballs": ("EyeballSelector",),
+        "repro.core.colo": ("ColoRelayPipeline", "FilterReport", "VerifiedColoRelay"),
+        "repro.core.relays": ("AtlasRelaySelector", "PlanetLabRelaySelector"),
+        "repro.core.feasibility": ("feasibility_mask", "feasible_relays", "is_feasible"),
+        "repro.core.stitching": ("stitch_rtt", "is_tiv"),
+        "repro.core.results": ("CampaignResult", "PairObservation", "RelayRecord", "RoundResult"),
+        "repro.core.campaign": ("MeasurementCampaign",),
+    },
+)

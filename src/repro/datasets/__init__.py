@@ -2,12 +2,7 @@
 the paper consumes (APNIC user coverage, PeeringDB, CAIDA prefix2as, the
 Giotsas et al. facility-mapping dataset, and Periscope looking glasses)."""
 
-from repro.datasets.config import DatasetConfig
-from repro.datasets.apnic import ApnicCoverage, CoverageRecord
-from repro.datasets.peeringdb import PeeringDB
-from repro.datasets.prefix2as import Prefix2AS
-from repro.datasets.facility_mapping import FacilityMappingDataset, FacilityMappingRecord
-from repro.datasets.periscope import LookingGlass, Periscope
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DatasetConfig",
@@ -20,3 +15,15 @@ __all__ = [
     "Periscope",
     "LookingGlass",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.datasets.config": ("DatasetConfig",),
+        "repro.datasets.apnic": ("ApnicCoverage", "CoverageRecord"),
+        "repro.datasets.peeringdb": ("PeeringDB",),
+        "repro.datasets.prefix2as": ("Prefix2AS",),
+        "repro.datasets.facility_mapping": ("FacilityMappingDataset", "FacilityMappingRecord"),
+        "repro.datasets.periscope": ("LookingGlass", "Periscope"),
+    },
+)

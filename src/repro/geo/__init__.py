@@ -1,18 +1,7 @@
 """Geographic substrate: coordinates, great-circle distances, fiber delay,
 and the embedded world-city / country databases the topology is placed on."""
 
-from repro.geo.coords import GeoPoint
-from repro.geo.distance import (
-    FIBER_PATH_STRETCH,
-    SPEED_OF_LIGHT_FIBER_KM_PER_MS,
-    fiber_delay_ms,
-    great_circle_km,
-    min_rtt_ms,
-    propagation_delay_ms,
-)
-from repro.geo.countries import Country, continent_of, country, all_countries
-from repro.geo.cities import City, all_cities, cities_in_country, city, hub_cities
-from repro.geo.matrix import CityDelayMatrix
+from repro._lazy import lazy_exports
 
 __all__ = [
     "GeoPoint",
@@ -33,3 +22,21 @@ __all__ = [
     "hub_cities",
     "CityDelayMatrix",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.geo.coords": ("GeoPoint",),
+        "repro.geo.distance": (
+            "FIBER_PATH_STRETCH",
+            "SPEED_OF_LIGHT_FIBER_KM_PER_MS",
+            "fiber_delay_ms",
+            "great_circle_km",
+            "min_rtt_ms",
+            "propagation_delay_ms",
+        ),
+        "repro.geo.countries": ("Country", "continent_of", "country", "all_countries"),
+        "repro.geo.cities": ("City", "all_cities", "cities_in_country", "city", "hub_cities"),
+        "repro.geo.matrix": ("CityDelayMatrix",),
+    },
+)

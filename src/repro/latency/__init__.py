@@ -2,10 +2,7 @@
 geography + BGP, stochastic per-packet jitter/loss, and the ping and
 traceroute engines the measurement layer drives."""
 
-from repro.latency.backbone import BackboneStretch
-from repro.latency.model import Endpoint, LatencyConfig, LatencyModel
-from repro.latency.ping import PingEngine, PingResult
-from repro.latency.traceroute import TracerouteEngine, TracerouteHop
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BackboneStretch",
@@ -17,3 +14,13 @@ __all__ = [
     "TracerouteEngine",
     "TracerouteHop",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.latency.backbone": ("BackboneStretch",),
+        "repro.latency.model": ("Endpoint", "LatencyConfig", "LatencyModel"),
+        "repro.latency.ping": ("PingEngine", "PingResult"),
+        "repro.latency.traceroute": ("TracerouteEngine", "TracerouteHop"),
+    },
+)

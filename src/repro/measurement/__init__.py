@@ -2,11 +2,7 @@
 probe platform, PlanetLab, and the ground-truth colocation interface pool
 that the (aged) Giotsas-style dataset is derived from."""
 
-from repro.measurement.nodes import HostAddressBook, MeasurementNode, NodeKind
-from repro.measurement.config import InfrastructureConfig
-from repro.measurement.atlas import AtlasProbe, RipeAtlasEmulator
-from repro.measurement.planetlab import PlanetLabEmulator, PlanetLabNode, PlanetLabSite
-from repro.measurement.colo import ColoInterface, ColoInterfacePool
+from repro._lazy import lazy_exports
 
 __all__ = [
     "NodeKind",
@@ -21,3 +17,14 @@ __all__ = [
     "ColoInterfacePool",
     "ColoInterface",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.measurement.nodes": ("HostAddressBook", "MeasurementNode", "NodeKind"),
+        "repro.measurement.config": ("InfrastructureConfig",),
+        "repro.measurement.atlas": ("AtlasProbe", "RipeAtlasEmulator"),
+        "repro.measurement.planetlab": ("PlanetLabEmulator", "PlanetLabNode", "PlanetLabSite"),
+        "repro.measurement.colo": ("ColoInterface", "ColoInterfacePool"),
+    },
+)

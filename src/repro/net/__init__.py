@@ -6,8 +6,15 @@ prefix2as) and MOAS detection; this package provides the machinery those
 dataset substrates are built on, without relying on ``ipaddress`` internals
 for the routing-table semantics (we still accept dotted-quad strings)."""
 
-from repro.net.ipv4 import IPv4Address, IPv4Prefix
-from repro.net.trie import PrefixTrie
-from repro.net.allocator import PrefixAllocator
+from repro._lazy import lazy_exports
 
 __all__ = ["IPv4Address", "IPv4Prefix", "PrefixTrie", "PrefixAllocator"]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.net.ipv4": ("IPv4Address", "IPv4Prefix"),
+        "repro.net.trie": ("PrefixTrie",),
+        "repro.net.allocator": ("PrefixAllocator",),
+    },
+)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from repro._lazy import lazy_exports
 from repro.obs.metrics import (
     NULL_HANDLE,
     CounterHandle,
@@ -36,8 +37,6 @@ from repro.obs.metrics import (
     NullHandle,
     TimerHandle,
 )
-from repro.obs.profile import profile_to
-from repro.obs.summarize import summarize_metrics
 from repro.obs.trace import SpanHandle, SpanTracer
 
 __all__ = [
@@ -67,6 +66,15 @@ __all__ = [
     "write_metrics",
     "write_trace",
 ]
+
+#: The profiler and the artifact renderer load on first use.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.profile": ("profile_to",),
+        "repro.obs.summarize": ("summarize_metrics",),
+    },
+)
 
 #: Live recorder state (module-level; None == disabled).
 _metrics: MetricsRegistry | None = None

@@ -14,7 +14,7 @@ __all__ = ["summarize_metrics"]
 
 def summarize_metrics(artifact: dict[str, Any]) -> str:
     """Render a metrics artifact as an aligned phase-time/counter table."""
-    schema = artifact.get("schema")
+    schema = artifact.get("schema") if isinstance(artifact, dict) else None
     if schema != "repro.obs.metrics/1":
         raise ValueError(f"not a repro.obs metrics artifact (schema={schema!r})")
     structural = artifact.get("structural", {})

@@ -1,9 +1,7 @@
 """Inter-domain routing: Gao-Rexford valley-free route selection, the
 geographic course of each BGP path, and path-inflation metrics."""
 
-from repro.routing.bgp import BGPRouting, Route, RouteClass
-from repro.routing.geopath import GeoPathWalker, PathSegment
-from repro.routing.inflation import geodesic_inflation, path_length_km
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BGPRouting",
@@ -14,3 +12,12 @@ __all__ = [
     "geodesic_inflation",
     "path_length_km",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.routing.bgp": ("BGPRouting", "Route", "RouteClass"),
+        "repro.routing.geopath": ("GeoPathWalker", "PathSegment"),
+        "repro.routing.inflation": ("geodesic_inflation", "path_length_km"),
+    },
+)

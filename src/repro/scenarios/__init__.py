@@ -7,26 +7,7 @@ distributions), and :mod:`repro.analysis.scenarios` for the paper-shape
 reductions the expectations are checked against.
 """
 
-from repro.scenarios.registry import (
-    Scenario,
-    get_scenario,
-    list_scenarios,
-    register,
-    scenario_names,
-    scenario_with,
-)
-
-#: Regime symbols resolved lazily (PEP 562): the regimes module depends
-#: on :mod:`repro.core.montecarlo`, which imports the sweep runner, which
-#: imports this package — importing it eagerly here would close that loop
-#: mid-initialisation.
-_REGIME_EXPORTS = (
-    "Regime",
-    "get_regime",
-    "list_regimes",
-    "regime_names",
-    "register_regime",
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Regime",
@@ -42,14 +23,23 @@ __all__ = [
     "scenario_with",
 ]
 
-
-def __getattr__(name: str):
-    if name in _REGIME_EXPORTS:
-        from repro.scenarios import regimes
-
-        return getattr(regimes, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_REGIME_EXPORTS))
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.scenarios.registry": (
+            "Scenario",
+            "get_scenario",
+            "list_scenarios",
+            "register",
+            "scenario_names",
+            "scenario_with",
+        ),
+        "repro.scenarios.regimes": (
+            "Regime",
+            "get_regime",
+            "list_regimes",
+            "regime_names",
+            "register_regime",
+        ),
+    },
+)

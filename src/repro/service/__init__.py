@@ -16,29 +16,7 @@ one with the keyword-only classmethods —
 (:class:`RouteAnswer`, :class:`RouteBatch`, :class:`ServiceStats`).
 """
 
-from repro.service.directory import (
-    SNAPSHOT_VERSION,
-    TIER_COUNTRY,
-    TIER_DIRECT,
-    TIER_NAMES,
-    TIER_PAIR,
-    LaneBlock,
-    RelayDirectory,
-)
-from repro.service.loadgen import (
-    BLOCK_SIZE,
-    LoadgenConfig,
-    QueryStream,
-    country_rank_order,
-    replay,
-)
-from repro.service.results import (
-    DegradationCounters,
-    RouteAnswer,
-    RouteBatch,
-    ServiceStats,
-)
-from repro.service.service import ShortcutService, cross_world_service
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BLOCK_SIZE",
@@ -60,3 +38,32 @@ __all__ = [
     "cross_world_service",
     "replay",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.service.directory": (
+            "SNAPSHOT_VERSION",
+            "TIER_COUNTRY",
+            "TIER_DIRECT",
+            "TIER_NAMES",
+            "TIER_PAIR",
+            "LaneBlock",
+            "RelayDirectory",
+        ),
+        "repro.service.loadgen": (
+            "BLOCK_SIZE",
+            "LoadgenConfig",
+            "QueryStream",
+            "country_rank_order",
+            "replay",
+        ),
+        "repro.service.results": (
+            "DegradationCounters",
+            "RouteAnswer",
+            "RouteBatch",
+            "ServiceStats",
+        ),
+        "repro.service.service": ("ShortcutService", "cross_world_service"),
+    },
+)

@@ -7,30 +7,9 @@ world into per-round effects the measurement campaign applies between
 rounds, and :mod:`repro.timeline.chaos` replays load against a serving
 layer while the faults unfold, measuring availability and stale-answer
 rates.
-
-The chaos harness is exported lazily (PEP 562): it imports the campaign
-and service layers, which themselves import :class:`TimelineConfig`
-through :class:`~repro.core.config.CampaignConfig` — an eager import
-here would cycle.
 """
 
-from repro.timeline.events import (
-    OUTAGE_POOLS,
-    LinkDegradation,
-    ProbeChurn,
-    RelayOutage,
-    TimelineConfig,
-    TimelineEvent,
-    TrafficShift,
-    rolling_outages,
-)
-from repro.timeline.schedule import (
-    CompiledTimeline,
-    LinkWindow,
-    RoundEffects,
-    TrafficWindow,
-    compile_timeline,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ChaosConfig",
@@ -50,12 +29,26 @@ __all__ = [
     "rolling_outages",
 ]
 
-_LAZY = {"ChaosConfig", "chaos_replay"}
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        from repro.timeline import chaos
-
-        return getattr(chaos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.timeline.events": (
+            "OUTAGE_POOLS",
+            "LinkDegradation",
+            "ProbeChurn",
+            "RelayOutage",
+            "TimelineConfig",
+            "TimelineEvent",
+            "TrafficShift",
+            "rolling_outages",
+        ),
+        "repro.timeline.schedule": (
+            "CompiledTimeline",
+            "LinkWindow",
+            "RoundEffects",
+            "TrafficWindow",
+            "compile_timeline",
+        ),
+        "repro.timeline.chaos": ("ChaosConfig", "chaos_replay"),
+    },
+)

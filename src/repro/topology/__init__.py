@@ -3,11 +3,7 @@ colocation facilities, IXPs, and a Gao-Rexford relationship graph, all
 produced deterministically by :class:`~repro.topology.builder.TopologyBuilder`.
 """
 
-from repro.topology.types import ASType, AutonomousSystem
-from repro.topology.facilities import Facility, IXP
-from repro.topology.graph import ASGraph, Relationship
-from repro.topology.config import TopologyConfig
-from repro.topology.builder import TopologyBuilder, Topology
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ASType",
@@ -20,3 +16,14 @@ __all__ = [
     "TopologyBuilder",
     "Topology",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.topology.types": ("ASType", "AutonomousSystem"),
+        "repro.topology.facilities": ("Facility", "IXP"),
+        "repro.topology.graph": ("ASGraph", "Relationship"),
+        "repro.topology.config": ("TopologyConfig",),
+        "repro.topology.builder": ("TopologyBuilder", "Topology"),
+    },
+)

@@ -1,13 +1,6 @@
 """Small shared utilities: statistics helpers and seeded RNG management."""
 
-from repro.util.stats import (
-    cdf_points,
-    coefficient_of_variation,
-    median,
-    percentile,
-    quantiles,
-)
-from repro.util.rand import SeedSequenceFactory, derive_rng
+from repro._lazy import lazy_exports
 
 __all__ = [
     "median",
@@ -18,3 +11,17 @@ __all__ = [
     "SeedSequenceFactory",
     "derive_rng",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.util.stats": (
+            "cdf_points",
+            "coefficient_of_variation",
+            "median",
+            "percentile",
+            "quantiles",
+        ),
+        "repro.util.rand": ("SeedSequenceFactory", "derive_rng"),
+    },
+)

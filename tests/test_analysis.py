@@ -1,17 +1,21 @@
 """Tests for the analysis modules (Figs 2-4, Table 1, in-text results)."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.analysis.countries import CountryChangeAnalysis
 from repro.analysis.facilities import FacilityTable
 from repro.analysis.improvements import ImprovementAnalysis
 from repro.analysis.ranking import TopRelayAnalysis
-from repro.analysis.stability import StabilityAnalysis
+from repro.analysis.stability import StabilityAnalysis, series_cvs
 from repro.analysis.symmetry import SymmetryAnalysis
 from repro.analysis.voip import VoipAnalysis
 from repro.core.results import CampaignResult, RelayRegistry
 from repro.core.types import RELAY_TYPE_ORDER, RelayType
 from repro.errors import AnalysisError
+from repro.util.stats import coefficient_of_variation
 
 
 class TestImprovementAnalysis:
@@ -212,6 +216,62 @@ class TestStabilityAnalysis:
         assert len(series) == len(small_campaign_result.rounds)
         for _, frac in series:
             assert 0.0 <= frac <= 1.0
+
+    @staticmethod
+    def _reference_cvs(medians, min_occurrences):
+        """Per-pair ``coefficient_of_variation``, pairs in first-seen order."""
+        series = {}
+        for per_round in medians:
+            for key, value in per_round.items():
+                series.setdefault(key, []).append(value)
+        return [
+            coefficient_of_variation(values)
+            for values in series.values()
+            if len(values) >= min_occurrences
+        ]
+
+    @pytest.mark.parametrize("min_occurrences", [2, 3])
+    def test_cvs_match_per_pair_reference(self, small_campaign_result, min_occurrences):
+        # Python 3.12's sum() is compensated, so allow a few ULP
+        analysis = StabilityAnalysis(small_campaign_result, min_occurrences=min_occurrences)
+        rounds = small_campaign_result.rounds
+        for cvs, medians in (
+            (analysis.direct_pair_cvs(), [r.direct_medians for r in rounds]),
+            (analysis.relay_pair_cvs(), [r.relay_medians for r in rounds]),
+        ):
+            expected = self._reference_cvs(medians, min_occurrences)
+            assert cvs and len(cvs) == len(expected)
+            np.testing.assert_array_max_ulp(np.array(cvs), np.array(expected), maxulp=4)
+
+    def test_series_cvs_keys_seen_in_some_rounds(self):
+        rounds = [
+            {"a": 10.0, "b": 20.0, "c": 30.0},
+            {"d": 41.0, "b": 22.5, "a": 11.0},
+            {"a": 12.5, "d": 40.0, "e": 7.0},
+        ]
+        for min_occurrences, kept in ((2, 3), (3, 1)):
+            cvs = series_cvs(rounds, min_occurrences)
+            expected = self._reference_cvs(rounds, min_occurrences)
+            assert len(cvs) == kept
+            np.testing.assert_array_max_ulp(np.array(cvs), np.array(expected), maxulp=4)
+        assert series_cvs([{}, {}], 2) == []
+        with pytest.raises(AnalysisError, match="zero mean"):
+            series_cvs([{"a": 1.0}, {"a": -1.0}], 2)
+
+    def test_without_relay_medians(self, small_campaign_result):
+        result = CampaignResult(
+            rounds=[
+                dataclasses.replace(rnd, relay_medians=None)
+                for rnd in small_campaign_result.rounds
+            ],
+            registry=small_campaign_result.registry,
+        )
+        analysis = StabilityAnalysis(result, min_occurrences=2)
+        with pytest.raises(AnalysisError, match="record_relay_medians"):
+            analysis.relay_pair_cvs()
+        direct = analysis.direct_pair_cvs()
+        assert analysis.all_cvs(include_relay_legs=False) == direct
+        assert analysis.summary()["num_recurring_pairs"] == float(len(direct))
 
     def test_fraction_below_counts(self, small_campaign_result):
         analysis = StabilityAnalysis(small_campaign_result, min_occurrences=2)

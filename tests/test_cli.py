@@ -138,6 +138,25 @@ class TestCommands:
         assert err.startswith("error:")
         assert str(path) in err
 
+    def test_metrics_summarize_missing_file_is_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "none.json"
+        assert main(["metrics", "summarize", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: no such file\n"
+
+    def test_metrics_summarize_non_json_is_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "result.npz"
+        path.write_bytes(b"PK\x03\x04 not json")
+        assert main(["metrics", "summarize", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: not JSON")
+
+    @pytest.mark.parametrize("text", ['{"scenarios": {}}', "[1, 2]"])
+    def test_metrics_summarize_other_json_is_clean_error(self, tmp_path, capsys, text):
+        path = tmp_path / "other.json"
+        path.write_text(text)
+        assert main(["metrics", "summarize", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not a repro.obs metrics artifact")
+
     def test_campaign_checks_out_dir_before_running(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "r.json"
         code = main(["campaign", "--seed", "3", "--countries", "8",
