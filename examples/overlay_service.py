@@ -66,7 +66,7 @@ def main() -> None:
     # the round completes: fold it into the directory incrementally
     ingest = service.ingest_round(result.rounds[-1])
     print(f"\ningested round {ingest['round_id']}: "
-          f"{ingest['touched_lanes']} lanes recompiled, "
+          f"{ingest['touched_lanes']} lanes touched, "
           f"{ingest['retained_rounds']} rounds retained")
 
     # operator restart: snapshot to .npz, restore, verify nothing moved

@@ -411,6 +411,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     snapshot_ok = (
         restored.directory.block_signature() == service.directory.block_signature()
     )
+    del buffer, restored  # only the check needs them; free them before the replay
 
     config = LoadgenConfig(
         num_queries=args.queries,

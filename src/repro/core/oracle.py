@@ -12,7 +12,7 @@ the prediction against that round's oracle-best relay.
 history as NumPy reductions over
 :class:`~repro.core.table.ObservationTable` columns: country pairs are
 packed into int64 *lane* keys and per-lane relay counts are ranked
-``(-count, relay)`` in one lexsort.  The serving layer
+``(-count, relay)`` by one stable sort.  The serving layer
 (:mod:`repro.service`) compiles its relay directory through the same
 kernels (:func:`rank_lane_entries`, :func:`csr_top_k`), so service
 rankings and predictor rankings cannot drift apart.  Frozen digests of
@@ -128,14 +128,10 @@ class LaneHistory:
 
     def lane_index(self, keys: np.ndarray) -> np.ndarray:
         """Per query key: the lane's row, or -1 when the lane is unknown."""
-        pos = np.searchsorted(self.lane_keys, keys)
-        pos_c = np.minimum(pos, max(self.lane_keys.size - 1, 0))
-        found = (
-            (pos < self.lane_keys.size) & (self.lane_keys[pos_c] == keys)
-            if self.lane_keys.size
-            else np.zeros(len(keys), bool)
-        )
-        return np.where(found, pos_c, -1)
+        if self.lane_keys.size == 0:
+            return np.full(len(keys), -1, np.intp)
+        pos = np.minimum(np.searchsorted(self.lane_keys, keys), self.lane_keys.size - 1)
+        return np.where(self.lane_keys[pos] == keys, pos, -1)
 
     def top_k(self, lane_idx: np.ndarray, k: int) -> np.ndarray:
         """``(m, k) int32`` top-k ranked relays per lane row, -1 padded.
@@ -182,26 +178,37 @@ def rank_lane_entries(
     service's incremental recompiles bit-identical to full ones).  The
     shared kernel of every columnar history consumer: evaluation here,
     lane-block compilation in :mod:`repro.service.directory`.
+
+    Rows must be non-empty and fewer than 2**31; relay ids and summed
+    counts must fit in int32.  Grouping sorts ``lane code * relay span +
+    relay offset`` and ranking sorts ``lane code * count span + (max
+    count - count)``; lane codes are dense (below 2**31) and each span is
+    at most 2**32, so neither int64 key overflows.  Both sorts are stable:
+    unique pairs come out relay-ascending within their lane, and ranking
+    keeps that order on count ties.
     """
-    order = np.lexsort((relays, lanes))  # stable: preserves row order
-    lane_s, relay_s = lanes[order], relays[order]
-    boundary = np.flatnonzero((np.diff(lane_s) != 0) | (np.diff(relay_s) != 0))
-    starts = np.concatenate(([0], boundary + 1))
-    uniq_lane = lane_s[starts]
-    uniq_relay = relay_s[starts]
+    lane_keys, lane_code = np.unique(lanes, return_inverse=True)
+    relays = relays.astype(np.int64)
+    low = relays.min()
+    relay_span = relays.max() - low + 1
+    key = lane_code.astype(np.int64) * relay_span + (relays - low)
+    order = np.argsort(key, kind="stable")  # stable: preserves row order
+    key_s = key[order]
+    starts = np.flatnonzero(np.diff(key_s, prepend=-1))
+    uniq_lane, uniq_relay = np.divmod(key_s[starts], relay_span)
     if counts is None:
-        total_count = np.diff(np.append(starts, lane_s.size)).astype(np.int64)
+        total_count = np.diff(np.append(starts, key_s.size))
     else:
-        total_count = np.add.reduceat(counts[order], starts)
-    rank = np.lexsort((uniq_relay, -total_count, uniq_lane))
-    ranked_lane = uniq_lane[rank]
-    lane_starts = np.flatnonzero(np.diff(ranked_lane, prepend=-1))
-    lane_keys = ranked_lane[lane_starts]
-    indptr = np.append(lane_starts, ranked_lane.size).astype(np.int64)
+        total_count = np.add.reduceat(counts[order], starts).astype(np.int64)
+    top = total_count.max()
+    count_span = top - total_count.min() + 1
+    rank = np.argsort(uniq_lane * count_span + (top - total_count), kind="stable")
+    indptr = np.zeros(lane_keys.size + 1, np.int64)
+    np.cumsum(np.bincount(uniq_lane, minlength=lane_keys.size), out=indptr[1:])
     out = (
         lane_keys,
         indptr,
-        uniq_relay[rank].astype(np.int32),
+        (uniq_relay[rank] + low).astype(np.int32),
         total_count[rank].astype(np.int32),
     )
     if gains is None:

@@ -16,13 +16,20 @@ dense ranked lookup blocks:
   RTT reduction per relay as the expected gain);
 * **direct tier** — no history at all: the caller keeps the direct path.
 
-Incremental ingestion (:meth:`ingest_round`) recompiles only *touched*
-lanes — lanes the new round observed plus lanes that lost a round to the
-retention window (``max_rounds``, the staleness TTL) — and splices them
-into the compiled blocks; the result is byte-identical to recompiling the
-whole directory from the retained rounds, because every lane's statistics
-are reduced from the same per-round rows in the same ascending-round
-order either way (asserted in ``tests/test_service.py``).
+Ingestion (:meth:`ingest_round`) reduces the new round to per-lane rows,
+evicts rounds that left the retention window (``max_rounds``, the
+staleness TTL), then recompiles every (tier, relay type) block those
+rounds carry in one pass over the retained rows.  Rows always reduce in
+ascending-round order, so ingesting round by round is byte-identical to
+compiling the retained rounds at once (asserted in ``tests/test_service.py``).
+
+Queries resolve through *answer rows*, built per ``(relay type, k)`` on
+first use and dropped whenever a block changes: an ``(endpoints+1)²``
+table maps ``(src, dst)`` codes to the row of their pair lane, else of
+their country lane, else to the all-padding direct row, and each lane's
+top-k answer is one padded row.  A batch is one row gather plus one
+gather per answer column.  The table grows with the square of the
+endpoint count (70 KB for the full world's 131).
 
 Snapshots (:meth:`save` / :meth:`load`) are a single ``.npz`` of flat
 arrays: the string pools, the per-round lane rows and the retention
@@ -32,6 +39,8 @@ is bit-identical to the one that saved it.
 
 from __future__ import annotations
 
+import os
+import zipfile
 from dataclasses import dataclass
 from typing import IO, Any
 
@@ -45,6 +54,7 @@ from repro.core.types import RELAY_TYPE_ORDER, RelayType
 from repro.errors import (
     EmptyDirectoryError,
     ServiceError,
+    StoreError,
     UnknownCountryError,
     UnknownEndpointError,
 )
@@ -108,8 +118,7 @@ class LaneBlock:
 
         Rows may repeat a ``(lane, relay)`` across rounds; callers must
         order them round-ascending so the float gain sums accumulate in a
-        fixed order (what makes incremental recompiles bit-identical to
-        full ones).  Reduction and ranking run through the oracle's shared
+        fixed order.  Reduction and ranking run through the oracle's shared
         :func:`~repro.core.oracle.rank_lane_entries` kernel, so the
         service ranks exactly as the history predictor does.
         """
@@ -130,14 +139,6 @@ class LaneBlock:
     def num_lanes(self) -> int:
         return self.keys.shape[0]
 
-    def lane_index(self, keys: np.ndarray) -> np.ndarray:
-        """Per query key: the lane's row, or -1 when unknown."""
-        if self.keys.size == 0:
-            return np.full(keys.shape, -1, np.intp)
-        pos = np.searchsorted(self.keys, keys)
-        pos_c = np.minimum(pos, self.keys.size - 1)
-        return np.where(self.keys[pos_c] == keys, pos_c, -1)
-
     def top_k(self, lane_rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """``(m, k)`` ranked relays and expected reductions per lane row.
 
@@ -147,16 +148,6 @@ class LaneBlock:
         return csr_top_k(
             self.indptr, lane_rows, k,
             (self.relays, self.reduction_ms), (-1, np.nan),
-        )
-
-    def equal(self, other: LaneBlock) -> bool:
-        """Exact array equality (used by the incremental-vs-full tests)."""
-        return (
-            np.array_equal(self.keys, other.keys)
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.relays, other.relays)
-            and np.array_equal(self.counts, other.counts)
-            and np.array_equal(self.reduction_ms, other.reduction_ms, equal_nan=True)
         )
 
 
@@ -195,42 +186,6 @@ def validate_query_codes(
     return src, dst
 
 
-def _merge_blocks(
-    old: LaneBlock, fresh: LaneBlock, touched: np.ndarray
-) -> LaneBlock:
-    """Splice recompiled ``touched`` lanes into an existing block.
-
-    ``fresh`` holds the recomputed versions of every touched lane that
-    still has entries (a touched lane whose rounds were all evicted simply
-    disappears).  Untouched lanes keep their exact arrays.
-    """
-    keep = ~np.isin(old.keys, touched)
-    src_keys = np.concatenate([old.keys[keep], fresh.keys])
-    order = np.argsort(src_keys, kind="stable")
-    old_lengths = np.diff(old.indptr)
-    src_lengths = np.concatenate([old_lengths[keep], np.diff(fresh.indptr)])[order]
-    src_starts = np.concatenate(
-        [old.indptr[:-1][keep], fresh.indptr[:-1] + old.relays.size]
-    )[order]
-    indptr = np.concatenate(([0], np.cumsum(src_lengths))).astype(np.int64)
-    total = int(indptr[-1])
-    gather = (
-        np.repeat(src_starts, src_lengths)
-        + np.arange(total)
-        - np.repeat(indptr[:-1], src_lengths)
-    )
-    relays = np.concatenate([old.relays, fresh.relays])[gather]
-    counts = np.concatenate([old.counts, fresh.counts])[gather]
-    reduction = np.concatenate([old.reduction_ms, fresh.reduction_ms])[gather]
-    return LaneBlock(
-        keys=src_keys[order],
-        indptr=indptr,
-        relays=relays.astype(np.int32),
-        counts=counts.astype(np.int32),
-        reduction_ms=reduction,
-    )
-
-
 class RelayDirectory:
     """Compiled relay-lookup lanes over a window of measurement rounds.
 
@@ -251,6 +206,9 @@ class RelayDirectory:
         # insertion order == ascending round id (enforced by ingest_round)
         self._rounds: dict[int, dict[tuple[int, int], tuple[np.ndarray, ...]]] = {}
         self._blocks: dict[tuple[int, int], LaneBlock] = {}
+        # (type code, k) -> answer rows (see _answers_for), built on first
+        # query and dropped whenever a block changes
+        self._answers: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
         # relay registry idx -> newest round id whose improving entries
         # contained it: the liveness signal behind stale_relay_mask.  Kept
         # across eviction (like endpoint identities) so health questions
@@ -270,8 +228,9 @@ class RelayDirectory:
         """
         directory = cls(max_rounds=max_rounds)
         with obs.span("service.directory.compile"):
-            for rnd in result.rounds if rounds is None else rounds:
-                directory.ingest_round(rnd)
+            directory._ingest(
+                (rnd, None) for rnd in (result.rounds if rounds is None else rounds)
+            )
         return directory
 
     @classmethod
@@ -285,8 +244,9 @@ class RelayDirectory:
         """
         directory = cls(max_rounds=max_rounds)
         with obs.span("service.directory.compile"):
-            for round_id in table.round_values().tolist():
-                directory.ingest_round(table, round_id=round_id)
+            directory._ingest(
+                (table, round_id) for round_id in table.round_values().tolist()
+            )
         return directory
 
     # -------------------------------------------------------------- ingestion
@@ -301,8 +261,9 @@ class RelayDirectory:
         ``source`` is a campaign :class:`~repro.core.results.RoundResult`
         (round id implied) or an :class:`ObservationTable`; for a
         multi-round table, ``round_id`` selects the round to ingest.
-        Recompiles only lanes the round touched (plus lanes evicted by the
-        ``max_rounds`` window) and returns ingest statistics.
+        Recompiles every block the round or the rounds it evicts from the
+        ``max_rounds`` window carry, and returns ingest statistics;
+        ``touched_lanes`` counts the lanes those rounds observed.
 
         Staleness: measurement-derived lanes decay with the window —
         evicting a round removes its contribution exactly — but *identity*
@@ -314,17 +275,35 @@ class RelayDirectory:
             ServiceError: on out-of-order or duplicate round ids.
         """
         with obs.span("service.directory.ingest"):
-            stats = self._ingest_round(source, round_id)
-        obs.inc("service.directory.ingested_rounds")
-        obs.inc("service.directory.evicted_rounds", stats["evicted_rounds"])
-        obs.inc("service.directory.touched_lanes", stats["touched_lanes"])
-        return stats
+            return self._ingest([(source, round_id)])[0]
 
-    def _ingest_round(
+    def _ingest(self, sources) -> list[dict[str, int]]:
+        """Fold ``(source, round_id)`` rounds in order, then compile every
+        block they touched once; returns each round's statistics."""
+        all_stats = []
+        touched: set[tuple[int, int]] = set()
+        for source, round_id in sources:
+            stats, keys = self._fold_round(source, round_id)
+            all_stats.append(stats)
+            touched |= keys
+            obs.inc("service.directory.ingested_rounds")
+            obs.inc("service.directory.evicted_rounds", stats["evicted_rounds"])
+            obs.inc("service.directory.touched_lanes", stats["touched_lanes"])
+        for tier, type_code in sorted(touched):
+            self._blocks[(tier, type_code)] = self._compile_block(tier, type_code)
+        self._answers = {}
+        return all_stats
+
+    def _fold_round(
         self,
         source: RoundResult | ObservationTable,
-        round_id: int | None = None,
-    ) -> dict[str, int]:
+        round_id: int | None,
+    ) -> tuple[dict[str, int], set[tuple[int, int]]]:
+        """Reduce one round into the retained rows and apply the window.
+
+        Returns the round's statistics and the block keys it or its
+        evictions carry; compiling those blocks is the caller's job.
+        """
         if isinstance(source, RoundResult):
             table = source.table
             rid = source.round_index if round_id is None else round_id
@@ -362,16 +341,14 @@ class RelayDirectory:
                 else:
                     a = cc_map[table.e1_cc[cases]]
                     b = cc_map[table.e2_cc[cases]]
-                aggregate[(tier, type_code)] = self._reduce_round_rows(
-                    _pack(a, b), relays, gains
-                )
+                # stored (and snapshotted) as flat rows, not as a CSR
+                keys, indptr, *rows = rank_lane_entries(_pack(a, b), relays, gains=gains)
+                aggregate[(tier, type_code)] = (np.repeat(keys, np.diff(indptr)), *rows)
         self._rounds[rid] = aggregate
         if aggregate:
-            seen = np.unique(
-                np.concatenate([rows[1] for rows in aggregate.values()])
-            )
-            for relay in seen.tolist():
-                self._relay_last_seen[int(relay)] = rid
+            seen = np.bincount(np.concatenate([rows[1] for rows in aggregate.values()]))
+            for relay in np.flatnonzero(seen).tolist():
+                self._relay_last_seen[relay] = rid
 
         evicted: list[dict[tuple[int, int], tuple[np.ndarray, ...]]] = []
         if self.max_rounds is not None:
@@ -383,21 +360,17 @@ class RelayDirectory:
         for old in evicted:
             touched_keys |= set(old)
         entries = 0
-        for tier, type_code in sorted(touched_keys):
-            lanes = [
-                agg[(tier, type_code)][0]
-                for agg in [aggregate, *evicted]
-                if (tier, type_code) in agg
-            ]
-            touched = np.unique(np.concatenate(lanes))
-            entries += int(touched.size)
-            self._recompute(tier, type_code, touched)
-        return {
+        for key in touched_keys:
+            # each round's lanes are sorted runs, which a stable sort merges
+            lanes = np.concatenate([agg[key][0] for agg in [aggregate, *evicted] if key in agg])
+            entries += int(np.count_nonzero(np.diff(np.sort(lanes, kind="stable")))) + 1
+        stats = {
             "round_id": rid,
             "retained_rounds": len(self._rounds),
             "evicted_rounds": len(evicted),
             "touched_lanes": entries,
         }
+        return stats, touched_keys
 
     def _register_pools(
         self, table: ObservationTable
@@ -418,79 +391,23 @@ class RelayDirectory:
             cc_map = np.zeros(0, np.int32)
         return ep_map, cc_map
 
-    @staticmethod
-    def _reduce_round_rows(
-        lanes: np.ndarray, relays: np.ndarray, gains: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One round's ``(lane, relay)`` rows: occurrence counts + gain sums.
-
-        The shared ranking kernel does the group-reduce; the CSR comes
-        back flattened because round aggregates are stored (and
-        snapshotted) as flat row lists.
-        """
-        keys, indptr, ranked_relays, ranked_counts, gain_sums = rank_lane_entries(
-            lanes, relays, gains=gains
-        )
-        return (
-            np.repeat(keys, np.diff(indptr)),
-            ranked_relays,
-            ranked_counts,
-            gain_sums,
-        )
-
-    def _round_rows_for(
-        self, tier: int, type_code: int, touched: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Retained rounds' rows for a block, round-ascending, optionally
-        restricted to a touched-lane subset."""
-        lanes, relays, counts, gains = [], [], [], []
-        for rid in self._rounds:
-            agg = self._rounds[rid].get((tier, type_code))
-            if agg is None:
-                continue
-            lane, relay, count, gain = agg
-            if touched is not None:
-                keep = np.isin(lane, touched)
-                if not keep.any():
-                    continue
-                lane, relay, count, gain = (
-                    lane[keep], relay[keep], count[keep], gain[keep]
-                )
-            lanes.append(lane)
-            relays.append(relay)
-            counts.append(count)
-            gains.append(gain)
-        if not lanes:
-            empty64 = np.zeros(0, np.int64)
-            empty32 = np.zeros(0, np.int32)
-            return empty64, empty32, empty32, np.zeros(0, float)
-        return (
-            np.concatenate(lanes),
-            np.concatenate(relays),
-            np.concatenate(counts),
-            np.concatenate(gains),
-        )
-
-    def _recompute(
-        self, tier: int, type_code: int, touched: np.ndarray | None = None
-    ) -> None:
-        fresh = LaneBlock.from_rows(*self._round_rows_for(tier, type_code, touched))
-        if touched is None:
-            self._blocks[(tier, type_code)] = fresh
-            return
-        old = self._blocks.get((tier, type_code))
-        if old is None or old.num_lanes == 0:
-            self._blocks[(tier, type_code)] = fresh
-            return
-        self._blocks[(tier, type_code)] = _merge_blocks(old, fresh, touched)
+    def _compile_block(self, tier: int, type_code: int) -> LaneBlock:
+        """One block from every retained round's rows, round-ascending."""
+        rows = [
+            agg[(tier, type_code)]
+            for agg in self._rounds.values()
+            if (tier, type_code) in agg
+        ]
+        if not rows:
+            return LaneBlock.empty()
+        return LaneBlock.from_rows(*(np.concatenate(col) for col in zip(*rows)))
 
     def recompile(self) -> None:
         """Rebuild every compiled block from the retained rounds."""
         with obs.span("service.directory.recompile"):
             keys = sorted({key for agg in self._rounds.values() for key in agg})
-            self._blocks = {}
-            for tier, type_code in keys:
-                self._recompute(tier, type_code)
+            self._blocks = {key: self._compile_block(*key) for key in keys}
+            self._answers = {}
 
     # ---------------------------------------------------------------- queries
 
@@ -512,7 +429,8 @@ class RelayDirectory:
         unknown, resolved structurally to the direct tier).  Returns
         ``(relays (n, k) int32, reductions (n, k) float64, tier (n,)
         int8)`` — -1/NaN padded, with :data:`TIER_DIRECT` rows entirely
-        padding (keep the direct path).
+        padding (keep the direct path).  The arrays are fresh copies the
+        caller may write into.
 
         Raises:
             EmptyDirectoryError: when no round was ever ingested — there
@@ -522,37 +440,59 @@ class RelayDirectory:
         """
         if k < 1:
             raise ServiceError(f"k must be >= 1, got {k}")
-        src, dst = validate_query_codes(
-            src_codes, dst_codes, len(self._endpoint_cc)
-        )
-        n = src.shape[0]
-        relays = np.full((n, k), -1, np.int32)
-        reductions = np.full((n, k), np.nan)
-        tier = np.full(n, TIER_DIRECT, np.int8)
-        unresolved = (src >= 0) & (dst >= 0) & (src != dst)
+        known = len(self._endpoint_cc)
+        src, dst = validate_query_codes(src_codes, dst_codes, known)
         code = RELAY_TYPE_ORDER.index(relay_type)
+        row_table, relays, reductions, tier = self._answers_for(code, k)
+        rows = row_table[(src + 1) * (known + 1) + (dst + 1)]
+        return (
+            np.take(relays, rows, axis=0),
+            np.take(reductions, rows, axis=0),
+            np.take(tier, rows),
+        )
 
-        pair_block = self._blocks.get((TIER_PAIR, code))
-        if pair_block is not None and pair_block.num_lanes and unresolved.any():
-            rows = pair_block.lane_index(_pack(src, dst))
-            hit = unresolved & (rows >= 0)
-            if hit.any():
-                r, g = pair_block.top_k(rows[hit], k)
-                relays[hit], reductions[hit] = r, g
-                tier[hit] = TIER_PAIR
-                unresolved &= ~hit
+    def _answers_for(self, code: int, k: int) -> tuple[np.ndarray, ...]:
+        """``(row table, relays, reductions, tier)`` for a relay type and k.
 
-        cc_block = self._blocks.get((TIER_COUNTRY, code))
-        if cc_block is not None and cc_block.num_lanes and unresolved.any():
-            scc = self._endpoint_cc[np.maximum(src, 0)]
-            dcc = self._endpoint_cc[np.maximum(dst, 0)]
-            rows = cc_block.lane_index(_pack(scc, dcc))
-            hit = unresolved & (rows >= 0) & (scc >= 0) & (dcc >= 0)
-            if hit.any():
-                r, g = cc_block.top_k(rows[hit], k)
-                relays[hit], reductions[hit] = r, g
-                tier[hit] = TIER_COUNTRY
-        return relays, reductions, tier
+        Answer rows hold the pair lanes' top-k, then the country lanes',
+        then one all-padding direct row.  The flat ``(endpoints+1)²`` int32
+        row table maps ``(src+1, dst+1)`` to the pair lane's row, else the
+        country lane's, else -1 (the direct row).  Unknown endpoints (code
+        -1, index 0), endpoints of unknown country and ``src == dst`` stay
+        -1.
+        """
+        answers = self._answers.get((code, k))
+        if answers is not None:
+            return answers
+        pair = self._blocks.get((TIER_PAIR, code), LaneBlock.empty())
+        country = self._blocks.get((TIER_COUNTRY, code), LaneBlock.empty())
+        side = len(self._endpoint_cc) + 1
+        table = np.full((side, side), -1, np.int32)
+        if country.num_lanes:
+            # one spare row/column so country code -1 lands on -1
+            by_cc = np.full((len(self._countries) + 1,) * 2, -1, np.int32)
+            a, b = country.keys >> 32, country.keys & 0xFFFFFFFF
+            by_cc[a, b] = by_cc[b, a] = pair.num_lanes + np.arange(
+                country.num_lanes, dtype=np.int32
+            )
+            cc = self._endpoint_cc
+            table[1:, 1:] = by_cc[cc[:, np.newaxis], cc[np.newaxis, :]]
+        if pair.num_lanes:
+            a, b = (pair.keys >> 32) + 1, (pair.keys & 0xFFFFFFFF) + 1
+            table[a, b] = table[b, a] = np.arange(pair.num_lanes, dtype=np.int32)
+        np.fill_diagonal(table, -1)
+        sizes = (pair.num_lanes, country.num_lanes, 1)
+        relays = np.full((sum(sizes), k), -1, np.int32)
+        reductions = np.full((sum(sizes), k), np.nan)
+        relays[: sizes[0]], reductions[: sizes[0]] = pair.top_k(np.arange(sizes[0]), k)
+        relays[sizes[0] : -1], reductions[sizes[0] : -1] = country.top_k(
+            np.arange(sizes[1]), k
+        )
+        tier = np.repeat(
+            np.asarray([TIER_PAIR, TIER_COUNTRY, TIER_DIRECT], np.int8), sizes
+        )
+        answers = self._answers[(code, k)] = (table.ravel(), relays, reductions, tier)
+        return answers
 
     # ----------------------------------------------------------------- health
 
@@ -704,8 +644,26 @@ class RelayDirectory:
         """Rebuild a directory from a :meth:`save` snapshot.
 
         Raises:
+            StoreError: when the snapshot is missing, empty, truncated, not
+                an ``.npz`` archive or lacks a member.  Its ``path`` is the
+                path given, else the stream's ``name``, else ``"<stream>"``.
             ServiceError: on unknown snapshot versions.
         """
+        try:
+            directory = cls._read_snapshot(file)
+        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+            name = file if isinstance(file, (str, os.PathLike)) else getattr(
+                file, "name", "<stream>"
+            )
+            raise StoreError(
+                name, f"not a directory snapshot ({type(exc).__name__}: {exc})"
+            ) from exc
+        directory.recompile()
+        return directory
+
+    @classmethod
+    def _read_snapshot(cls, file: str | IO[bytes]) -> RelayDirectory:
+        """The snapshot's pools and retained rounds, blocks not compiled."""
         with np.load(file) as data:
             meta = data["meta"]
             if int(meta[0]) != SNAPSHOT_VERSION:
@@ -735,7 +693,6 @@ class RelayDirectory:
                             data[f"{prefix}_gain"],
                         )
                 directory._rounds[rid] = aggregate
-        directory.recompile()
         return directory
 
     def block_signature(self) -> str:

@@ -39,6 +39,32 @@ from repro.service.service import ShortcutService
 #: Queries per determinism block (the unit of parallel synthesis).
 BLOCK_SIZE = 4096
 
+#: Buckets of the guide table over the country-pair CDF.
+_GUIDE = 1 << 16
+
+
+class _GuideTable:
+    """``cdf.searchsorted(u, side="right")`` for ``u`` in [0, 1).
+
+    The search is monotone in ``u``, so a bucket ``[j, j + 1) / _GUIDE``
+    whose edges search to one index answers every draw in it; only draws
+    in buckets that straddle a CDF step are searched.  Edges and
+    ``u * _GUIDE`` are exact in float64, so answers equal the search's.
+    """
+
+    def __init__(self, cdf: np.ndarray) -> None:
+        self._cdf = cdf
+        edges = cdf.searchsorted(np.arange(_GUIDE + 1) / _GUIDE, side="right")
+        self._first = edges[:-1]
+        self._straddles = edges[:-1] != edges[1:]
+
+    def lookup(self, u: np.ndarray) -> np.ndarray:
+        bucket = (u * _GUIDE).astype(np.intp)
+        index = self._first[bucket]
+        search = np.flatnonzero(self._straddles[bucket])
+        index[search] = self._cdf.searchsorted(u[search], side="right")
+        return index
+
 
 @dataclass(frozen=True, slots=True)
 class LoadgenConfig:
@@ -106,19 +132,21 @@ def country_rank_order(directory: RelayDirectory) -> list[str]:
     Raises:
         EmptyDirectoryError: when the directory knows no endpoints.
     """
+    names = directory.countries()
+    return [names[c] for c in _ranked_countries(directory, names)]
+
+
+def _ranked_countries(directory: RelayDirectory, names: list[str]) -> list[int]:
+    """Country codes with observed endpoints, most populous first."""
     ep_cc = directory.endpoint_country_codes()
     ccs = ep_cc[ep_cc >= 0]
     if ccs.size == 0:
         raise EmptyDirectoryError("directory has no endpoints to rank")
     population = np.bincount(ccs)
-    names = directory.countries()
-    active = np.flatnonzero(population > 0)
-    return [
-        names[c]
-        for c in sorted(
-            active.tolist(), key=lambda c: (-int(population[c]), names[c])
-        )
-    ]
+    return sorted(
+        np.flatnonzero(population).tolist(),
+        key=lambda c: (-int(population[c]), names[c]),
+    )
 
 
 class QueryStream:
@@ -126,61 +154,54 @@ class QueryStream:
 
     def __init__(self, directory: RelayDirectory, config: LoadgenConfig) -> None:
         self._config = config
-        ep_cc = directory.endpoint_country_codes()
-        known = np.flatnonzero(ep_cc >= 0)
-        if known.size == 0:
-            raise EmptyDirectoryError(
-                "directory has no endpoints to synthesise from"
-            )
-        ccs = ep_cc[known]
-        # eyeball population per country = distinct endpoints observed there
-        num_cc = int(ccs.max()) + 1
-        population = np.bincount(ccs, minlength=num_cc)
         names = directory.countries()
-        active = np.flatnonzero(population > 0)
-        if active.size < 2:
+        rank_order = _ranked_countries(directory, names)
+        if len(rank_order) < 2:
             raise ServiceError("need endpoints in >= 2 countries for pairs")
-        # rank countries by (-population, name): the Zipf head is the most
-        # populous eyeball country, ties broken stably by country string
-        rank_order = sorted(
-            active.tolist(), key=lambda c: (-int(population[c]), names[c])
-        )
         weights = 1.0 / np.power(
             np.arange(1, len(rank_order) + 1, dtype=float), config.zipf_exponent
         )
         if config.country_weights:
-            multipliers = dict(config.country_weights)
             by_name = {names[c]: pos for pos, c in enumerate(rank_order)}
-            for country, mult in multipliers.items():
+            for country, mult in config.country_weights.items():
                 if country not in by_name:
                     raise UnknownCountryError(
                         f"country {country!r} has no observed endpoints to "
                         "re-weight"
                     )
                 weights[by_name[country]] *= mult
-        # country pairs (i != j) with product-of-Zipf weights
-        c = len(rank_order)
-        src_idx, dst_idx = np.meshgrid(np.arange(c), np.arange(c), indexing="ij")
-        off_diag = src_idx != dst_idx
-        self._pair_src = np.asarray(rank_order, np.int32)[src_idx[off_diag]]
-        self._pair_dst = np.asarray(rank_order, np.int32)[dst_idx[off_diag]]
-        pair_w = (weights[:, np.newaxis] * weights[np.newaxis, :])[off_diag]
+        # country pairs (i != j), row-major by rank, with product-of-Zipf
+        # weights
+        src_rank, dst_rank = np.nonzero(~np.eye(len(rank_order), dtype=bool))
+        pair_w = weights[src_rank] * weights[dst_rank]
         total = pair_w.sum()
         # weights can silence every pair (e.g. one country left with any
         # traffic): the stream is then deterministically empty — never a
-        # division by zero in the normalisation
-        self._pair_p = pair_w / total if total > 0 else None
-        # country -> endpoint codes, CSR over sorted (cc, endpoint) pairs
-        order = np.lexsort((known, ccs))
-        self._ep_codes = known[order].astype(np.int64)
-        self._ep_indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(ccs, minlength=num_cc)))
-        )
+        # division by zero in the normalisation.  Otherwise draws go
+        # through the CDF that ``Generator.choice(n, p=p)`` builds, so the
+        # stream equals choice's draw for draw
+        self._guide = None
+        if total > 0:
+            cdf = (pair_w / total).cumsum()
+            cdf /= cdf[-1]
+            self._guide = _GuideTable(cdf)
+        # endpoint codes grouped by country; per pair and side, where the
+        # side's country group starts and how many endpoints it holds
+        ep_cc = directory.endpoint_country_codes()
+        known = np.flatnonzero(ep_cc >= 0)
+        ccs = ep_cc[known]
+        self._ep_codes = known[np.lexsort((known, ccs))].astype(np.int64)
+        sizes = np.bincount(ccs)
+        starts = np.cumsum(sizes) - sizes
+        ranked = np.asarray(rank_order)
+        self._sides = [
+            (starts[ranked[side]], sizes[ranked[side]]) for side in (src_rank, dst_rank)
+        ]
 
     @property
     def is_empty(self) -> bool:
         """True when re-weighting silenced every country pair."""
-        return self._pair_p is None
+        return self._guide is None
 
     @property
     def num_blocks(self) -> int:
@@ -189,39 +210,31 @@ class QueryStream:
     def block(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         """Synthesise block ``index``: parallel (src, dst) endpoint codes."""
         cfg = self._config
-        if self._pair_p is None:
+        if self._guide is None:
             return np.zeros(0, np.int64), np.zeros(0, np.int64)
         size = min(BLOCK_SIZE, cfg.num_queries - index * BLOCK_SIZE)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, index]))
-        pair = rng.choice(self._pair_p.size, size=size, p=self._pair_p)
-        src_cc = self._pair_src[pair]
-        dst_cc = self._pair_dst[pair]
-        u = rng.random((2, size))
-        src_n = self._ep_indptr[src_cc + 1] - self._ep_indptr[src_cc]
-        dst_n = self._ep_indptr[dst_cc + 1] - self._ep_indptr[dst_cc]
-        src = self._ep_codes[
-            self._ep_indptr[src_cc] + (u[0] * src_n).astype(np.int64)
-        ]
-        dst = self._ep_codes[
-            self._ep_indptr[dst_cc] + (u[1] * dst_n).astype(np.int64)
-        ]
+        pair = self._guide.lookup(rng.random(size))
+        src, dst = (
+            self._ep_codes[starts[pair] + (u * sizes[pair]).astype(np.int64)]
+            for (starts, sizes), u in zip(self._sides, rng.random((2, size)))
+        )
         return src, dst
 
     def generate(self) -> tuple[np.ndarray, np.ndarray]:
         """The full stream, assembled from per-worker block shards.
 
         Worker ``w`` of ``workers`` synthesises blocks ``w, w + workers,
-        ...``; reassembly orders blocks by index, so the result is
-        invariant in the worker count.
+        ...`` into their slots of the stream, so the result is invariant
+        in the worker count.
         """
-        if self.num_blocks == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.int64)
-        blocks: list[tuple[np.ndarray, np.ndarray] | None] = [None] * self.num_blocks
+        n = self._config.num_queries if self.num_blocks else 0
+        src, dst = np.empty(n, np.int64), np.empty(n, np.int64)
         for worker in range(self._config.workers):
             for index in range(worker, self.num_blocks, self._config.workers):
-                blocks[index] = self.block(index)
-        src = np.concatenate([b[0] for b in blocks])
-        dst = np.concatenate([b[1] for b in blocks])
+                lo = index * BLOCK_SIZE
+                hi = min(lo + BLOCK_SIZE, n)
+                src[lo:hi], dst[lo:hi] = self.block(index)
         return src, dst
 
 

@@ -1,13 +1,16 @@
-"""Frozen digests of the measurement engine's outputs.
+"""Frozen digests of the measurement engine's and the serving layer's outputs.
 
-Every value here was recorded from the reference implementations the
-engine used to carry next to its vectorized paths: the per-leg
-pair-cache campaign engine, the scalar base-RTT resolver, the unbatched
-geolocation filter and the per-observation prediction loops.  Those
-engines existed only so parity tests could diff against them; the digests
-now pin the same behaviour without the second implementation.  The
-engine must reproduce every value bit for bit.  A change that moves one
-on purpose updates it here and says why in its commit message.
+Every measurement value here was recorded from the reference
+implementations the engine used to carry next to its vectorized paths:
+the per-leg pair-cache campaign engine, the scalar base-RTT resolver, the
+unbatched geolocation filter and the per-observation prediction loops.
+Those engines existed only so parity tests could diff against them; the
+digests now pin the same behaviour without the second implementation.
+The serving values (:class:`TestService`) were recorded from the
+directory that spliced recompiled lanes into its blocks and answered each
+batch through per-tier key searches.  The code must reproduce every value
+bit for bit.  A change that moves one on purpose updates it here and says
+why in its commit message.
 """
 
 from __future__ import annotations
@@ -23,6 +26,13 @@ from repro.core.io import load_result, save_result
 from repro.core.oracle import LaneHistory, evaluate_prediction
 from repro.core.types import RelayType
 from repro.latency.model import Endpoint, LatencyModel
+from repro.service import (
+    LoadgenConfig,
+    QueryStream,
+    ShortcutService,
+    country_rank_order,
+    replay,
+)
 from repro.topology.config import TopologyConfig
 from repro.topology.types import ASType
 from repro.world import WorldConfig
@@ -70,6 +80,59 @@ LANE_PREDICTIONS = {
     RelayType.COR: (91, 89, "16966e756dff1312ab6d1018b90b3387"),
     RelayType.RAR_OTHER: (91, 74, "2e7e04dd3e51a993b506b35b0cba7231"),
 }
+#: ``block_signature`` of the small campaign's directory, keyed by
+#: ``max_rounds``: every round compiled at once (None), and the rounds
+#: ingested one by one through a two-round window (2).
+SERVICE_SIGNATURES = {
+    None: "c4dc0e4c91ed61dbd1c949a2883d5da3",
+    2: "f5f6e53a6fed387a243c6edc8d3e5632",
+}
+#: ``replay`` answers digest of the small campaign's service over
+#: ``SERVICE_QUERIES`` seed-3 queries, per (relay type, k).
+REPLAY_DIGESTS = {
+    (RelayType.COR, 1): "ad341ce13d9c1577301ae8a9a6d5b7fd",
+    (RelayType.COR, 3): "b4ae9f9f60aa1a2f4401091393ab011d",
+    (RelayType.COR, 5): "0270c8b5de4f2a791aa69f24e519e47d",
+    (RelayType.PLR, 1): "3090cbfd7fe82e17d243a5c8365bbfa7",
+    (RelayType.PLR, 3): "c7774d553d69179025f48b7d28841b57",
+    (RelayType.PLR, 5): "5cb94218aac6c821b5b26cd926f48aba",
+    (RelayType.RAR_OTHER, 1): "ea3403927fc75e3d179666e20f4d47b8",
+    (RelayType.RAR_OTHER, 3): "537ab339016d7d1ecfa258941ff14271",
+    (RelayType.RAR_OTHER, 5): "7aa89f70df9e525916b610e368493bd5",
+    (RelayType.RAR_EYE, 1): "b1ed43bc31da4fb63fdcaaea0a499892",
+    (RelayType.RAR_EYE, 3): "feeb6bdf5fbb489c5db3aae48dd6f783",
+    (RelayType.RAR_EYE, 5): "6a7586d6b8365624c7412774b17c2737",
+}
+#: Per relay type: blake2b of the k=5 answers' ``reduction_ms`` over the
+#: same stream (the replay digest covers relay ids and tiers only).
+REDUCTION_DIGESTS = {
+    RelayType.COR: "ba265b732e70e84322675fff4b8dc20e",
+    RelayType.PLR: "4e16660a3a1a40a3443642c9c27a385b",
+    RelayType.RAR_OTHER: "9cb5969b7aede152d827642fb88ecb22",
+    RelayType.RAR_EYE: "924e077af2afaead76e1f2d449cb7533",
+}
+#: (answers digest, degradation counters) of the same replay through a
+#: service with ``liveness_rounds=1``.
+LIVENESS_REPLAY = (
+    "3a38d6bf9f9ed14686ed5c0c5b1e05f2",
+    {
+        "queries": 20000,
+        "stale_top_answers": 5579,
+        "candidates_evicted": 20979,
+        "unanswerable": 192,
+        "fallback_country": 5977,
+        "direct": 271,
+    },
+)
+#: blake2b of ``QueryStream.generate`` (src then dst bytes): seeds 3 and 8,
+#: and seed 3 with the most populous country silenced and the second one
+#: weighted x4.
+QUERY_STREAMS = {
+    "seed3": "7833f4c8b7a2df32d61ecf8a49bf2da1",
+    "seed8": "35bcd8c6c9e96e6cde0ae011d52f45be",
+    "reweighted": "e753c1110673fc9c5c3e48a9fa809906",
+}
+SERVICE_QUERIES = 20_000
 
 SMALL_CONFIG = WorldConfig(topology=TopologyConfig(country_limit=16))
 
@@ -184,3 +247,65 @@ class TestPrediction:
             ]
             predicted = sum(1 for line in lines if not line.endswith(":"))
             assert (len(lines), predicted, lines_digest(lines)) == expected, relay_type
+
+
+def stream_digest(service, config) -> str:
+    src, dst = QueryStream(service.directory, config).generate()
+    return hashlib.blake2b(src.tobytes() + dst.tobytes(), digest_size=16).hexdigest()
+
+
+def reduction_digest(service, relay_type) -> str:
+    config = LoadgenConfig(num_queries=SERVICE_QUERIES, seed=3)
+    src, dst = QueryStream(service.directory, config).generate()
+    batch = service.route_many(src, dst, relay_type, 5)
+    return hashlib.blake2b(batch.reduction_ms.tobytes(), digest_size=16).hexdigest()
+
+
+def windowed_service(result, max_rounds):
+    service = ShortcutService.empty(max_rounds=max_rounds)
+    for rnd in result.rounds:
+        service.ingest_round(rnd)
+    return service
+
+
+class TestService:
+    @pytest.fixture(scope="class")
+    def service(self, small_campaign_result):
+        return ShortcutService.from_campaign(small_campaign_result)
+
+    def test_block_signatures(self, small_campaign_result, service):
+        windowed = windowed_service(small_campaign_result, 2)
+        got = {
+            None: service.directory.block_signature(),
+            2: windowed.directory.block_signature(),
+        }
+        assert got == SERVICE_SIGNATURES
+
+    def test_replay_digests(self, service):
+        for (relay_type, k), expected in REPLAY_DIGESTS.items():
+            config = LoadgenConfig(
+                num_queries=SERVICE_QUERIES, seed=3, k=k, relay_type=relay_type
+            )
+            assert replay(service, config).answers_digest == expected, (relay_type, k)
+
+    def test_reduction_digests(self, service):
+        got = {relay_type: reduction_digest(service, relay_type) for relay_type in RelayType}
+        assert got == REDUCTION_DIGESTS
+
+    def test_liveness_replay(self, small_campaign_result):
+        service = ShortcutService.from_campaign(small_campaign_result, liveness_rounds=1)
+        stats = replay(service, LoadgenConfig(num_queries=SERVICE_QUERIES, seed=3))
+        assert (stats.answers_digest, stats.degradation) == LIVENESS_REPLAY
+
+    def test_query_streams(self, service):
+        ranked = country_rank_order(service.directory)
+        weights = {ranked[0]: 0.0, ranked[1]: 4.0}
+        got = {
+            "seed3": stream_digest(service, LoadgenConfig(num_queries=SERVICE_QUERIES, seed=3)),
+            "seed8": stream_digest(service, LoadgenConfig(num_queries=SERVICE_QUERIES, seed=8)),
+            "reweighted": stream_digest(
+                service,
+                LoadgenConfig(num_queries=SERVICE_QUERIES, seed=3, country_weights=weights),
+            ),
+        }
+        assert got == QUERY_STREAMS

@@ -2,8 +2,9 @@
 
 Package exports load on first use and every CLI command imports what it
 runs, so a command pays only for the subsystems it uses.  These tests
-pin that down where it matters (``import repro.cli`` and ``repro
-analyze``) and check that laziness hides no name: every ``__all__`` entry
+pin that down where it matters (``import repro.cli``, ``repro analyze``
+and ``repro campaign``, neither of which may load the serving layer or
+its ranking kernel) and check that laziness hides no name: every ``__all__`` entry
 of every package resolves, is listed by ``dir()`` and is bound by ``from
 package import *``, and ``python -m repro --help`` works.
 """
@@ -41,6 +42,19 @@ def _loaded(prefixes: tuple[str, ...], modules: list[str]) -> list[str]:
     return [m for m in modules if any(m == p or m.startswith(p + ".") for p in prefixes)]
 
 
+#: Modules only ``serve-bench`` (and the prediction report) should load.
+SERVING = ("repro.service", "repro.core.oracle")
+
+#: Runs ``repro.cli.main`` on the arguments, then prints the loaded modules.
+MAIN_THEN_MODULES = (
+    "import json, sys\n"
+    "from repro.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
 def test_cli_import_loads_no_command_subsystems():
     proc = _python("-c", "import json, sys, repro.cli; print(json.dumps(sorted(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
@@ -56,24 +70,27 @@ def test_cli_import_loads_no_command_subsystems():
 def test_analyze_without_seed_loads_no_world_stack(small_campaign_result, tmp_path):
     path = tmp_path / "result.npz"
     save_result(small_campaign_result, path)
-    proc = _python(
-        "-c",
-        "import json, sys\n"
-        "from repro.cli import main\n"
-        "code = main(sys.argv[1:])\n"
-        "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
-        "sys.exit(code)\n",
-        "analyze", str(path), "--report", "full",
-    )
+    proc = _python("-c", MAIN_THEN_MODULES, "analyze", str(path), "--report", "full")
     assert proc.returncode == 0, proc.stderr
     assert "campaign report" in proc.stdout
     modules = json.loads(proc.stderr.splitlines()[-1])
     assert "repro.analysis.report" in modules
     assert _loaded(
         ("repro.world", "repro.topology", "repro.routing", "repro.latency",
-         "repro.measurement", "repro.datasets"),
+         "repro.measurement", "repro.datasets", *SERVING),
         modules,
     ) == []
+
+
+def test_campaign_loads_no_serving_layer(tmp_path):
+    proc = _python(
+        "-c", MAIN_THEN_MODULES, "campaign", "--countries", "8", "--rounds", "1",
+        "--no-world-cache", "--out", str(tmp_path / "result.npz"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = json.loads(proc.stderr.splitlines()[-1])
+    assert "repro.core.campaign" in modules
+    assert _loaded(SERVING, modules) == []
 
 
 @pytest.mark.parametrize("package", PACKAGES)

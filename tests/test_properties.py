@@ -3,7 +3,8 @@
 These complement the per-module suites with randomized checks of the
 relationships the whole methodology rests on: geometry bounds latency,
 stitching can only violate *routed* triangle inequalities, funnels only
-shrink, and the feasibility bound is sound by construction.
+shrink, the feasibility bound is sound by construction, and the shared
+lane-ranking kernel ranks exactly as the two-key lexsort it replaced.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.feasibility import is_feasible
+from repro.core.oracle import rank_lane_entries
 from repro.core.stitching import improvement_ms, is_tiv, stitch_rtt
 from repro.geo.cities import all_cities
 from repro.geo.distance import min_rtt_ms, propagation_delay_ms
@@ -143,3 +145,66 @@ class TestCampaignInvariants:
                         assert improving_same
                     else:
                         assert improving_diff
+
+
+def _rank_lexsort(lanes, relays, counts=None, gains=None):
+    """The lexsort ranking :func:`rank_lane_entries` replaced, kept as its
+    reference: group on ``(lane, relay)``, rank on ``(lane, -count, relay)``."""
+    order = np.lexsort((relays, lanes))  # stable: preserves row order
+    lane_s, relay_s = lanes[order], relays[order]
+    boundary = np.flatnonzero((np.diff(lane_s) != 0) | (np.diff(relay_s) != 0))
+    starts = np.concatenate(([0], boundary + 1))
+    uniq_lane = lane_s[starts]
+    uniq_relay = relay_s[starts]
+    if counts is None:
+        total_count = np.diff(np.append(starts, lane_s.size)).astype(np.int64)
+    else:
+        total_count = np.add.reduceat(counts[order], starts)
+    rank = np.lexsort((uniq_relay, -total_count, uniq_lane))
+    ranked_lane = uniq_lane[rank]
+    lane_starts = np.flatnonzero(np.diff(ranked_lane, prepend=-1))
+    out = (
+        ranked_lane[lane_starts],
+        np.append(lane_starts, ranked_lane.size).astype(np.int64),
+        uniq_relay[rank].astype(np.int32),
+        total_count[rank].astype(np.int32),
+    )
+    if gains is None:
+        return out
+    return out + (np.add.reduceat(gains[order], starts)[rank],)
+
+
+@st.composite
+def _lane_rows(draw):
+    """Rows over a few lane keys up to 2**62 and relay ids up to 2**31 - 1,
+    with and without per-row counts and gains."""
+    n = draw(st.integers(1, 80))
+    lane_pool = draw(st.lists(st.integers(0, 2**62), min_size=1, max_size=6))
+    relay_pool = draw(st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=6))
+    rows = st.lists(st.sampled_from(lane_pool), min_size=n, max_size=n)
+    lanes = np.asarray(draw(rows), np.int64)
+    relays = np.asarray(
+        draw(st.lists(st.sampled_from(relay_pool), min_size=n, max_size=n)), np.int32
+    )
+    counts = draw(st.none() | st.lists(st.integers(1, 1_000), min_size=n, max_size=n))
+    gains = draw(
+        st.none() | st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=n, max_size=n)
+    )
+    return (
+        lanes,
+        relays,
+        None if counts is None else np.asarray(counts, np.int32),
+        None if gains is None else np.asarray(gains),
+    )
+
+
+class TestRankingKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(_lane_rows())
+    def test_equals_lexsort_reference(self, rows):
+        got = rank_lane_entries(*rows)
+        want = _rank_lexsort(*rows)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()  # bit for bit, gains included

@@ -2,9 +2,11 @@
 
 The contract under test: directory compilation is deterministic (same
 input, byte-identical snapshot), batched and scalar queries agree,
-incremental ingestion is byte-identical to a full recompile, snapshots
-round-trip exactly, and the load generator's query stream is invariant in
-the worker count.
+incremental ingestion is byte-identical to a full recompile, cached answer
+rows follow every ingest and restore, snapshots round-trip exactly (and
+defective ones raise a typed error naming the file), and the load
+generator's query stream is invariant in the worker count and draws
+exactly what ``Generator.choice`` would.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import pytest
 
 from repro.core.oracle import LaneHistory
 from repro.core.types import RELAY_TYPE_ORDER, RelayType
-from repro.errors import ServiceError
+from repro.errors import ServiceError, StoreError
 from repro.service import (
     TIER_COUNTRY,
     TIER_DIRECT,
@@ -29,6 +31,7 @@ from repro.service import (
     cross_world_service,
     replay,
 )
+from repro.service import loadgen
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +305,55 @@ class TestIngest:
             ShortcutService.empty(spill=-1)
 
 
+class TestAnswerCache:
+    """Answer rows are cached per directory state; every ingest and every
+    restore must drop them, and no caller may write into them."""
+
+    @staticmethod
+    def _answers(service, ids):
+        codes = service.encode_endpoints(ids)
+        src, dst = np.repeat(codes, len(ids)), np.tile(codes, len(ids))
+        return [service.route_many(src, dst, t, 3) for t in RELAY_TYPE_ORDER]
+
+    def _assert_matches_scratch(self, service, result, liveness):
+        retained = service.directory.retained_rounds()
+        scratch = ShortcutService.from_campaign(
+            result,
+            rounds=[r for r in result.rounds if r.round_index in retained],
+            liveness_rounds=liveness,
+        )
+        # endpoints the scratch build knows with a country: identities of
+        # evicted rounds persist in the live directory by design
+        ids = [
+            e
+            for e in scratch.directory.endpoint_ids()
+            if scratch.directory.country_of_code(scratch.directory.endpoint_code(e))
+        ]
+        for got, want in zip(self._answers(service, ids), self._answers(scratch, ids)):
+            assert np.array_equal(got.relay_ids, want.relay_ids)
+            assert np.array_equal(got.reduction_ms, want.reduction_ms, equal_nan=True)
+            assert np.array_equal(got.tier, want.tier)
+
+    @pytest.mark.parametrize("liveness", [None, 1], ids=["plain", "liveness"])
+    def test_route_ingest_route_matches_scratch(self, small_campaign_result, liveness):
+        service = ShortcutService.empty(max_rounds=2, liveness_rounds=liveness)
+        for index, rnd in enumerate(small_campaign_result.rounds):
+            if index:  # builds the cache the next ingest must drop
+                self._assert_matches_scratch(service, small_campaign_result, liveness)
+            service.ingest_round(rnd)
+            self._assert_matches_scratch(service, small_campaign_result, liveness)
+
+    def test_liveness_writes_stay_out_of_the_cache(self, small_campaign_result):
+        service = ShortcutService.from_campaign(small_campaign_result, liveness_rounds=1)
+        ids = service.directory.endpoint_ids()
+        first = self._answers(service, ids)
+        assert service.counters.candidates_evicted > 0  # dead relays were demoted
+        for got, want in zip(self._answers(service, ids), first):
+            assert np.array_equal(got.relay_ids, want.relay_ids)
+            assert np.array_equal(got.reduction_ms, want.reduction_ms, equal_nan=True)
+            assert np.array_equal(got.tier, want.tier)
+
+
 class TestSnapshot:
     def test_roundtrip_identical(self, service):
         data = _snapshot_bytes(service)
@@ -318,13 +370,14 @@ class TestSnapshot:
         assert np.array_equal(
             codes, restored.encode_endpoints(restored.directory.endpoint_ids())
         )
-        batch_a = service.route_many(codes[:-1], codes[1:], RelayType.COR, 3)
-        batch_b = restored.route_many(codes[:-1], codes[1:], RelayType.COR, 3)
-        assert np.array_equal(batch_a.relay_ids, batch_b.relay_ids)
-        assert np.array_equal(
-            batch_a.reduction_ms, batch_b.reduction_ms, equal_nan=True
-        )
-        assert np.array_equal(batch_a.tier, batch_b.tier)
+        for relay_type in RELAY_TYPE_ORDER:
+            batch_a = service.route_many(codes[:-1], codes[1:], relay_type, 3)
+            batch_b = restored.route_many(codes[:-1], codes[1:], relay_type, 3)
+            assert np.array_equal(batch_a.relay_ids, batch_b.relay_ids)
+            assert np.array_equal(
+                batch_a.reduction_ms, batch_b.reduction_ms, equal_nan=True
+            )
+            assert np.array_equal(batch_a.tier, batch_b.tier)
 
     def test_roundtrip_keeps_ingesting(self, small_campaign_result):
         """A restored service continues incremental ingestion seamlessly."""
@@ -348,6 +401,44 @@ class TestSnapshot:
         bad.seek(0)
         with pytest.raises(ServiceError):
             ShortcutService.load(bad)
+
+    @staticmethod
+    def _without_member(data: bytes) -> bytes:
+        arrays = dict(np.load(io.BytesIO(data)))
+        del arrays["endpoints"]
+        out = io.BytesIO()
+        np.savez(out, **arrays)
+        return out.getvalue()
+
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            pytest.param(None, id="missing"),
+            pytest.param(lambda data: data[: len(data) // 2], id="truncated"),
+            pytest.param(lambda data: b"\x00not a snapshot" * 64, id="garbage"),
+            pytest.param(lambda data: b"", id="empty"),
+            pytest.param(_without_member, id="missing-member"),
+        ],
+    )
+    def test_defective_file_raises_store_error(self, service, tmp_path, defect):
+        path = tmp_path / "snapshot.npz"
+        if defect is not None:
+            path.write_bytes(defect(_snapshot_bytes(service)))
+        with pytest.raises(StoreError) as info:
+            ShortcutService.load(str(path))
+        assert info.value.path == str(path)
+        assert str(path) in str(info.value)
+
+    def test_store_error_names_the_stream(self, tmp_path):
+        path = tmp_path / "empty.npz"
+        path.write_bytes(b"")
+        with path.open("rb") as stream:
+            with pytest.raises(StoreError) as info:
+                RelayDirectory.load(stream)
+        assert info.value.path == str(path)
+        with pytest.raises(StoreError) as info:
+            RelayDirectory.load(io.BytesIO(b"\x00" * 16))
+        assert info.value.path == "<stream>"
 
 
 class TestLoadgen:
@@ -418,6 +509,39 @@ class TestLoadgen:
     def test_empty_directory_rejected(self):
         with pytest.raises(ServiceError):
             QueryStream(RelayDirectory(), LoadgenConfig(num_queries=10))
+
+    @staticmethod
+    def _cdf(rng, n):
+        p = rng.random(n) * (rng.random(n) < 0.8)  # some zero-probability pairs
+        p[0] = 1.0
+        cdf = (p / p.sum()).cumsum()
+        cdf /= cdf[-1]
+        return p / p.sum(), cdf
+
+    def test_guide_table_equals_search(self):
+        rng = np.random.default_rng(17)
+        for n in (2, 7, 4_830):
+            _, cdf = self._cdf(rng, n)
+            edges = np.arange(loadgen._GUIDE) / loadgen._GUIDE
+            u = np.concatenate([
+                rng.random(20_000),
+                edges,  # exactly on every bucket edge
+                np.nextafter(edges[1:], 0.0),  # just below one
+                cdf[cdf < 1.0],  # exactly on CDF values
+                np.nextafter(cdf[cdf < 1.0], 0.0),
+                [0.0, np.nextafter(1.0, 0.0)],
+            ])
+            got = loadgen._GuideTable(cdf).lookup(u)
+            assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+
+    def test_guide_table_draws_what_choice_draws(self):
+        rng = np.random.default_rng(4)
+        p, cdf = self._cdf(rng, 300)
+        guide = loadgen._GuideTable(cdf)
+        for seed in range(5):
+            want = np.random.default_rng(seed).choice(p.size, size=4_096, p=p)
+            draws = np.random.default_rng(seed)
+            assert np.array_equal(guide.lookup(draws.random(4_096)), want)
 
 
 class TestTierConstants:
