@@ -420,7 +420,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         seed=args.loadgen_seed,
         k=args.k,
         relay_type=RelayType[args.relay_type],
-        workers=args.loadgen_workers,
     )
     stats = replay(service, config)
 
@@ -871,10 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--loadgen-seed", type=int, default=0, help="query-stream seed"
-    )
-    p_serve.add_argument(
-        "--loadgen-workers", type=int, default=1,
-        help="query-synthesis shards (stream is identical for any count)",
     )
     p_serve.add_argument(
         "--min-qps", type=int, default=None,

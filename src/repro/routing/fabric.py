@@ -7,19 +7,20 @@ measurement campaign faults in hundreds of tables during its first round
 :class:`RoutingFabric` removes that cost by computing *all* of a campaign's
 destination tables in one batched pass over NumPy arrays:
 
-* the AS graph's adjacencies are packed once into CSR-style arrays (edge
-  endpoint indices grouped and offset-indexed by provider, by customer and
-  by peering node);
+* the AS graph's adjacencies are packed once into CSR-style arrays, each
+  relationship grouped by the node routes leave from (providers by
+  customer, customers by provider, peers by peer);
 * each destination batch runs the same three-phase Gao-Rexford algorithm as
   the scalar code — customer routes up the provider DAG, one peer-edge
   relaxation, provider routes down the customer DAG — but *level-
-  synchronously* across every destination at once, as reverse (destination
-  -> source) relaxations over ``(batch x nodes)`` arrays.  Segment minima
-  via ``np.minimum.reduceat`` reproduce the scalar algorithm's exact
-  preference order (route class, then AS-path length, then lowest next-hop
-  ASN), so the resulting tables are identical entry-for-entry to
-  ``BGPRouting._compute_table``'s — the equivalence suite in
-  ``tests/test_fabric.py`` asserts as much on seeded worlds;
+  synchronously* across every destination at once.  A phase offers routes
+  only from the ``(destination, node)`` entries that can export one or sit
+  on the current frontier, and scatters the offers into one minimum per
+  reached entry (``np.minimum.at``) that encodes the scalar algorithm's
+  exact preference order (route class, then AS-path length, then lowest
+  next-hop ASN).  The resulting tables are identical entry-for-entry to
+  ``BGPRouting._compute_table``'s: ``tests/test_fabric.py`` asserts as much
+  on seeded worlds, and ``tests/test_properties.py`` on random graphs;
 * selected routes are stored as flat ``int32`` predecessor (next-hop)
   arrays, one row per destination.  AS paths are reconstructed on demand by
   walking a destination's predecessor list — a few list lookups — instead
@@ -38,7 +39,7 @@ before the first distance-``d`` pop (pushes at ``d`` happen only during
 distance-``d - 1`` pops, which the heap order completes first; phase-3
 seeds are all pushed up front).  A node settled at distance ``d`` therefore
 selects the minimum ``via_asn`` among *all* neighbours settled at
-``d - 1`` — exactly the segment-minimum this module computes per level.
+``d - 1`` — exactly the minimum this module scatters per level.
 """
 
 from __future__ import annotations
@@ -83,25 +84,18 @@ class GeoWalkMemo:
 
 
 @dataclass(frozen=True, slots=True)
-class _CSR:
-    """Edge endpoints grouped by one side: segment starts + sorted columns."""
+class _Adjacency:
+    """Directed edges grouped by source node: node ``u``'s neighbours are
+    ``nbrs[indptr[u]:indptr[u + 1]]``."""
 
-    targets: np.ndarray  #: (segments,) node index each segment settles
-    indptr: np.ndarray  #: (segments,) start offset of each segment
-    values: np.ndarray  #: (edges,) neighbour node index, grouped by target
+    indptr: np.ndarray  #: (nodes + 1,) start offset of each node's edges
+    nbrs: np.ndarray  #: (edges,) neighbour node index, grouped by source
 
-    @property
-    def empty(self) -> bool:
-        return self.targets.size == 0
-
-
-def _group_by(targets: np.ndarray, values: np.ndarray) -> _CSR:
-    if targets.size == 0:
-        return _CSR(targets, targets, values)
-    order = np.argsort(targets, kind="stable")
-    sorted_targets = targets[order]
-    unique, indptr = np.unique(sorted_targets, return_index=True)
-    return _CSR(unique, indptr, values[order])
+    @classmethod
+    def group(cls, sources: np.ndarray, targets: np.ndarray, n: int) -> "_Adjacency":
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(sources, minlength=n), out=indptr[1:])
+        return cls(indptr, targets[np.argsort(sources, kind="stable")])
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,13 +143,14 @@ class RoutingFabric:
                 ppeer.extend((b, a))
         cust_arr = np.asarray(cust, dtype=np.intp)
         prov_arr = np.asarray(prov, dtype=np.intp)
-        #: customer routes settle providers: group c2p edges by provider
-        self._up = _group_by(prov_arr, cust_arr)
-        #: provider routes settle customers: group c2p edges by customer
-        self._down = _group_by(cust_arr, prov_arr)
-        #: peer routes settle each peering node: group directed peer edges
-        self._peer = _group_by(
-            np.asarray(pnode, dtype=np.intp), np.asarray(ppeer, dtype=np.intp)
+        n = self._n
+        #: customer routes climb from each customer to its providers
+        self._up = _Adjacency.group(cust_arr, prov_arr, n)
+        #: provider routes descend from each provider to its customers
+        self._down = _Adjacency.group(prov_arr, cust_arr, n)
+        #: peer routes cross each directed peering edge
+        self._peer = _Adjacency.group(
+            np.asarray(pnode, dtype=np.intp), np.asarray(ppeer, dtype=np.intp), n
         )
 
         self._slot: dict[int, tuple[int, int]] = {}  # dst asn -> (batch, row)
@@ -339,198 +334,209 @@ class RoutingFabric:
         when no valley-free route exists) plus the attachment -> row index
         map.
 
-        The walks run as one vectorized wavefront over the predecessor
-        arrays: every (attachment, destination-AS) walk advances one AS hop
-        per iteration through the walker's dense hop tables, so the whole
-        grid costs a handful of NumPy gathers per path-length level instead
-        of a Python loop per walk.  Delay assembly mirrors
+        Every (attachment, destination-AS) walk follows the predecessor
+        arrays for exactly its ``dist`` AS hops, through the walker's dense
+        hop tables.  The walks are sorted longest-first, so the walks still
+        live at each hop level are a prefix of the state arrays: a level
+        costs a few NumPy gathers over that prefix, with no compaction.  A
+        walk that does not end at its destination after ``dist`` hops means
+        the next-hop rows loop, and raises :class:`RoutingError`.  The
+        walk state is freed before the grid is assembled, in row blocks,
+        into one preallocated array.  Delay assembly mirrors
         ``LatencyModel._one_way_batch``'s operation order bit-exactly.
         """
         matrix = walker.matrix
         num = len(attachments)
+        n = self._n
         att_asn = [asn for asn, _ in attachments]
         att_city = matrix.indices(city for _, city in attachments)
-        att_node = np.fromiter(
-            (self._index_of[asn] for asn in att_asn), np.intp, num
-        )
+        att_node = np.fromiter((self._index_of[asn] for asn in att_asn), np.intp, num)
         dests = sorted(set(att_asn))
         n_dest = len(dests)
         dest_col = {asn: j for j, asn in enumerate(dests)}
-        n = self._n
-        rcl_rows = np.empty((n_dest, n), dtype=np.int8)
         dist_rows = np.empty((n_dest, n), dtype=np.int32)
-        nh_rows = np.empty((n_dest, n), dtype=np.int32)
-        dnode = np.empty(n_dest, dtype=np.intp)
+        nh_rows = np.empty((n_dest, n), dtype=np.intp)
         for j, asn in enumerate(dests):
             batch_no, row = self._slot[asn]
             batch = self._batches[batch_no]
-            rcl_rows[j] = batch.rclass[row]
             dist_rows[j] = batch.dist[row]
             nh_rows[j] = batch.next_hop[row]
-            dnode[j] = self._index_of[asn]
 
+        # per (destination row, node) entry ``j * n + u``: the entry its
+        # next hop leads to, the hop-table cell base of the edge it leaves
+        # by, and its carrier's stretch (entries without a next hop get
+        # in-range values no walk reads)
         edge_ids, handover, km_tab = walker.hop_tables()
-        eid_mat = self._edge_id_lookup(edge_ids)
+        n_cities = handover.shape[1]
+        handover_flat, km_flat = handover.ravel(), km_tab.ravel()
+        row_base = (np.arange(n_dest) * n)[:, np.newaxis]
+        eid = self._edge_id_lookup(edge_ids)[np.arange(n), nh_rows]
+        cell_base = eid.ravel().astype(np.intp) * n_cities
+        next_entry = (nh_rows + row_base).ravel()
         stretch_node = np.fromiter(
             (walker.carrier_stretch(asn) for asn in self._asn_list), float, n
         )
+        stretch_entry = np.tile(stretch_node, n_dest)
+        del eid, nh_rows
 
-        # flat (attachment × destination) wavefront walk
-        node = np.repeat(att_node, n_dest)
-        pos = np.repeat(att_city, n_dest)
-        drow = np.tile(np.arange(n_dest), num)
-        dest_node = dnode[drow]
-        routed = rcl_rows[drow, node] >= 0
-        hops = dist_rows[drow, node]
-        km = np.zeros(num * n_dest)
-        active = routed & (node != dest_node)
-        guard = 0
-        while active.any():
-            idx = np.nonzero(active)[0]
-            cur = node[idx]
-            nxt = nh_rows[drow[idx], cur]
-            eid = eid_mat[cur, nxt]
-            at = pos[idx]
-            km[idx] += km_tab[eid, at] * stretch_node[cur]
-            pos[idx] = handover[eid, at]
-            node[idx] = nxt
-            active[idx] = nxt != dest_node[idx]
-            guard += 1
-            if guard > n:
-                raise RoutingError("routing loop in attachment-grid walk")
+        # walk w = a * n_dest + j runs from attachment a to destination j
+        # for exactly its ``dist`` hops (none when unrouted, dist -1);
+        # longest first, so the walks live at hop l are a prefix
+        start = (row_base.T + att_node[:, np.newaxis]).ravel()
+        hops = dist_rows.ravel()[start]
+        if hops.max(initial=0) > n:
+            raise RoutingError("routing loop in attachment-grid walk")
+        steps = np.maximum(hops, 0)
+        order = np.argsort((n - steps).astype(np.min_scalar_type(n)), kind="stable")
+        live = order.size - np.cumsum(np.bincount(steps, minlength=1))
+        entry = start[order]
+        pos = att_city.astype(handover.dtype)[order // n_dest]
+        km = np.zeros(order.size)
+        del start, steps
+        for m in live[:-1].tolist():
+            at = entry[:m]
+            cell = cell_base[at]
+            cell += pos[:m]
+            km[:m] += km_flat[cell] * stretch_entry[at]
+            pos[:m] = handover_flat[cell]
+            entry[:m] = next_entry[at]
+        # a walk that has not reached its destination (distance 0) after
+        # ``dist`` hops followed a next-hop loop
+        if np.any(dist_rows.ravel()[entry[: live[0]]] != 0):
+            raise RoutingError("routing loop in attachment-grid walk")
+        km_grid = np.empty((num, n_dest))
+        km_grid.ravel()[order] = km
+        end_code = np.empty((num, n_dest), dtype=np.intp)
+        end_code.ravel()[order] = pos.astype(np.intp) * matrix.size
+        hops_grid = hops.reshape(num, n_dest)
+        # free the walk state before the grid exists: together they would
+        # set the process's peak RSS
+        del order, entry, pos, km, cell_base, next_entry, stretch_entry
 
-        # per (source attachment, target attachment) delay assembly
         full_km = matrix.distance_km_matrix(
             np.arange(matrix.size, dtype=np.intp),
             np.arange(matrix.size, dtype=np.intp),
-        )
-        km_grid = km.reshape(num, n_dest)
-        end_grid = pos.reshape(num, n_dest)
-        hops_grid = hops.reshape(num, n_dest)
-        routed_grid = routed.reshape(num, n_dest)
+        ).ravel()
         cols = np.fromiter((dest_col[asn] for asn in att_asn), np.intp, num)
-        end_t = end_grid[:, cols]  # (A, A): end city of src's walk toward t's AS
-        seg = full_km[end_t, att_city[np.newaxis, :]]
         stretch_t = np.fromiter(
             (walker.carrier_stretch(asn) for asn in att_asn), float, num
         )
-        grid = (
-            (km_grid[:, cols] + seg * stretch_t[np.newaxis, :])
-            / SPEED_OF_LIGHT_FIBER_KM_PER_MS
-            + per_hop_ms * hops_grid[:, cols]
-        )
-        grid[~routed_grid[:, cols]] = np.nan
+        grid = np.empty((num, num))
+        block = max(1, (1 << 18) // max(num, 1))  # rows per ~2 MB temporary
+        for lo in range(0, num, block):
+            rows = slice(lo, lo + block)
+            out = grid[rows]
+            # (km + seg * stretch_t) / c + per_hop_ms * hops, as the scalar
+            # resolver orders it (IEEE addition and product commute exactly)
+            seg = np.take(end_code[rows], cols, axis=1)
+            seg += att_city
+            np.take(full_km, seg, out=out)
+            out *= stretch_t
+            out += np.take(km_grid[rows], cols, axis=1)
+            out /= SPEED_OF_LIGHT_FIBER_KM_PER_MS
+            walk_hops = np.take(hops_grid[rows], cols, axis=1)
+            out += per_hop_ms * walk_hops
+            out[walk_hops < 0] = np.nan
         att_ids = {att: i for i, att in enumerate(attachments)}
         return grid, att_ids
 
     # ----------------------------------------------------------- relaxation
 
     def _compute_batch(self, dest_idx: np.ndarray) -> _Batch:
-        """Run the three valley-free phases for a whole destination batch."""
+        """Run the three valley-free phases for a whole destination batch.
+
+        The phases address the batch's ``(D, N)`` arrays by flat entry
+        ``row * N + node``.  Each offers routes only from the entries that
+        can export one and settles only entries without a route yet
+        (``rclass < 0``); the arrays themselves are the output.
+        """
         n = self._n
         num = dest_idx.size
         rclass = np.full((num, n), _UNREACHABLE, dtype=np.int8)
         dist = np.full((num, n), -1, dtype=np.int32)
         next_hop = np.full((num, n), -1, dtype=np.int32)
-        settled = np.zeros((num, n), dtype=bool)
-        rows = np.arange(num)
-        rclass[rows, dest_idx] = _ORIGIN
-        dist[rows, dest_idx] = 0
-        settled[rows, dest_idx] = True
+        flat = (rclass.ravel(), dist.ravel(), next_hop.ravel())
+        origins = np.arange(num) * n + dest_idx
+        flat[0][origins] = _ORIGIN
+        flat[1][origins] = 0
 
-        self._phase_customer(dest_idx, rclass, dist, next_hop, settled)
-        self._phase_peer(rclass, dist, next_hop, settled)
-        self._phase_provider(rclass, dist, next_hop, settled)
+        self._phase_levels(self._up, _CUSTOMER, origins, flat)
+        self._phase_peer(flat)
+        # every route selected so far seeds the descent, at its own distance
+        self._phase_levels(self._down, _PROVIDER, np.flatnonzero(flat[0] >= 0), flat)
         return _Batch(rclass, dist, next_hop)
 
-    def _settle(
+    def _relax(
         self,
-        csr: _CSR,
-        candidate_ranks: np.ndarray,
-        settled: np.ndarray,
-        invalid: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Segment-minimum + not-yet-settled filter shared by all phases.
+        adj: _Adjacency,
+        entries: np.ndarray,
+        offers: np.ndarray,
+        limit: int,
+        rclass: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Offer ``offers[i]`` across every ``adj`` edge out of flat entry
+        ``entries[i]``, into the same row.
 
-        ``candidate_ranks`` is ``(D, edges)``: the (encoded) preference key
-        each edge offers its segment's target, ``invalid`` marking edges
-        with nothing to offer.  Returns ``(batch_rows, node_indices,
-        winning_keys)`` of the nodes that settle this step.
+        Returns ``(won, best)``: the routeless entries reached, each with
+        the smallest offer it got.  Offers are below ``limit``.
         """
-        mins = np.minimum.reduceat(candidate_ranks, csr.indptr, axis=1)
-        new = (mins < invalid) & ~settled[:, csr.targets]
-        batch_rows, seg = np.nonzero(new)
-        return batch_rows, csr.targets[seg], mins[batch_rows, seg]
+        nodes = entries % self._n
+        lo = adj.indptr[nodes]
+        counts = adj.indptr[nodes + 1] - lo
+        # edge slot = the node's first slot + the edge's rank within it
+        slot = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        slot += np.arange(slot.size)
+        target = np.repeat(entries - nodes, counts)
+        target += adj.nbrs[slot]
+        best = np.full(rclass.size, limit, dtype=offers.dtype)
+        np.minimum.at(best, target, np.repeat(offers, counts))
+        won = np.flatnonzero((best < limit) & (rclass < 0))
+        return won, best[won]
 
-    def _phase_customer(self, dest_idx, rclass, dist, next_hop, settled) -> None:
-        """Customer routes climb the provider DAG, one BFS level at a time."""
-        csr = self._up
-        if csr.empty:
-            return
-        num, n = settled.shape
-        rank_of, node_of_rank = self._rank_of, self._node_of_rank
-        edge_ranks = rank_of[csr.values]
-        frontier = np.zeros((num, n), dtype=bool)
-        frontier[np.arange(num), dest_idx] = True
-        level = 0
-        while frontier.any():
-            level += 1
-            cand = np.where(frontier[:, csr.values], edge_ranks, n)
-            batch_rows, nodes, won = self._settle(csr, cand, settled, n)
-            if batch_rows.size == 0:
-                break
-            settled[batch_rows, nodes] = True
-            rclass[batch_rows, nodes] = _CUSTOMER
-            dist[batch_rows, nodes] = level
-            next_hop[batch_rows, nodes] = node_of_rank[won]
-            frontier = np.zeros((num, n), dtype=bool)
-            frontier[batch_rows, nodes] = True
+    def _phase_levels(self, adj: _Adjacency, code: int, seeds: np.ndarray, flat) -> None:
+        """Relax ``adj`` level-synchronously from the ``seeds`` entries.
 
-    def _phase_peer(self, rclass, dist, next_hop, settled) -> None:
+        Customer routes climb ``_up`` from the origins; provider routes
+        descend ``_down`` from every route selected before them.  The
+        frontier at level ``d`` is every entry at distance ``d - 1``: the
+        seeds at that distance plus what level ``d - 1`` settled.  A
+        routeless entry reached at level ``d`` settles via its lowest-ASN
+        frontier neighbour, which is exactly the scalar algorithm's heap
+        order for unit weights (module docstring).
+        """
+        rclass, dist, next_hop = flat
+        seed_dist = dist[seeds]
+        order = np.argsort(seed_dist, kind="stable")
+        seeds = seeds[order]
+        # seeds[bounds[d]:bounds[d + 1]] sit at distance d
+        bounds = np.searchsorted(seed_dist[order], np.arange(int(seed_dist.max()) + 2))
+        won = seeds[:0]
+        d = 1
+        while won.size or d < bounds.size:
+            frontier = won
+            if d < bounds.size:
+                frontier = np.concatenate((seeds[bounds[d - 1] : bounds[d]], won))
+            offers = self._rank_of[frontier % self._n]
+            won, rank = self._relax(adj, frontier, offers, self._n, rclass)
+            rclass[won] = code
+            dist[won] = d
+            next_hop[won] = self._node_of_rank[rank]
+            d += 1
+
+    def _phase_peer(self, flat) -> None:
         """One relaxation over peering edges from customer/origin routes.
 
-        Preference among a node's peer candidates is ``(dist, next-hop
-        ASN)``, encoded as ``dist * n + rank`` so one segment minimum picks
-        the scalar algorithm's exact choice.
+        Only entries that export (origin or customer routes) offer peer
+        candidates.  Preference among a node's peer candidates is
+        ``(dist, next-hop ASN)``, encoded as ``dist * n + rank`` so one
+        minimum picks the scalar algorithm's exact choice.
         """
-        csr = self._peer
-        if csr.empty:
-            return
+        rclass, dist, next_hop = flat
         n = self._n
-        big = np.int64(n) + 2  # beyond any real hop count
-        exportable = (rclass == _ORIGIN) | (rclass == _CUSTOMER)
-        cdist = np.where(exportable, dist.astype(np.int64), big)
-        cand = (cdist[:, csr.values] + 1) * n + self._rank_of[csr.values]
-        batch_rows, nodes, won = self._settle(csr, cand, settled, (big + 1) * n)
-        if batch_rows.size == 0:
-            return
-        settled[batch_rows, nodes] = True
-        rclass[batch_rows, nodes] = _PEER
-        dist[batch_rows, nodes] = won // n
-        next_hop[batch_rows, nodes] = self._node_of_rank[won % n]
-
-    def _phase_provider(self, rclass, dist, next_hop, settled) -> None:
-        """Provider routes descend the customer DAG, level-synchronously.
-
-        Seeds are every already-settled route (any class); a node settles at
-        distance ``d`` via the lowest-ASN provider settled at ``d - 1``,
-        which is exactly the scalar Dijkstra's pop order for unit weights.
-        """
-        csr = self._down
-        if csr.empty:
-            return
-        n = self._n
-        rank_of, node_of_rank = self._rank_of, self._node_of_rank
-        edge_ranks = rank_of[csr.values]
-        max_dist = int(dist.max(initial=0))
-        d = 1
-        while d <= max_dist + 1:
-            cand = np.where(dist[:, csr.values] == d - 1, edge_ranks, n)
-            batch_rows, nodes, won = self._settle(csr, cand, settled, n)
-            if batch_rows.size:
-                settled[batch_rows, nodes] = True
-                rclass[batch_rows, nodes] = _PROVIDER
-                dist[batch_rows, nodes] = d
-                next_hop[batch_rows, nodes] = node_of_rank[won]
-                max_dist = max(max_dist, d)
-            d += 1
+        exporting = np.flatnonzero((rclass == _ORIGIN) | (rclass == _CUSTOMER))
+        offers = (dist[exporting].astype(np.int64) + 1) * n
+        offers += self._rank_of[exporting % n]
+        won, best = self._relax(self._peer, exporting, offers, (n + 2) * n, rclass)
+        rclass[won] = _PEER
+        dist[won] = best // n
+        next_hop[won] = self._node_of_rank[best % n]

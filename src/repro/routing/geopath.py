@@ -102,7 +102,7 @@ class GeoPathWalker:
         # (new_city_key, new_idx, stretched_km_delta); one dict hit covers
         # the adjacency lookup, the hot-potato handover and the segment km.
         self._hop_cache: dict[tuple[int, int, int], tuple[str, int, float]] = {}
-        # dense per-edge handover tables for the bulk (wavefront) walker;
+        # dense per-edge handover tables for the attachment-grid walk;
         # built lazily by hop_tables()
         self._edge_tables: tuple[dict[tuple[int, int], int], np.ndarray, np.ndarray] | None = None
 
@@ -209,17 +209,22 @@ class GeoPathWalker:
     # ------------------------------------------------------------ bulk walk
 
     def hop_tables(self) -> tuple[dict[tuple[int, int], int], np.ndarray, np.ndarray]:
-        """Dense hop-transition tables for the vectorized wavefront walker.
+        """Dense hop-transition tables for the bulk attachment-grid walk.
 
         Returns ``(edge_ids, handover, km)``: ``edge_ids`` maps an AS
         adjacency (both orientations) to a row of the ``(edges × cities)``
         tables; ``handover[e, p]`` is the hot-potato interconnection city a
         packet at city ``p`` crossing edge ``e`` hands over at (the first
         minimum in the adjacency's ``interconnect_cities`` order, exactly
-        like the scalar walker); ``km[e, p]`` is the great-circle distance
+        like :meth:`_handover`), in the smallest unsigned dtype that holds a
+        city index; ``km[e, p]`` is the great-circle distance
         of that hop (0.0 when the handover city *is* the current city —
         matching the scalar walker skipping the zero-length segment).
-        Built once per walker, vectorized, and cached.
+
+        Edges are grouped by interconnect width: a one-city edge hands over
+        at that city from everywhere, so only the wider groups take an
+        argmin over their candidate columns.  Built once per walker and
+        cached.
         """
         if self._edge_tables is not None:
             return self._edge_tables
@@ -229,33 +234,26 @@ class GeoPathWalker:
             np.arange(n_cities, dtype=np.intp), np.arange(n_cities, dtype=np.intp)
         )
         edges = list(self._graph.edges())
-        edge_ids: dict[tuple[int, int], int] = {}
-        city_lists = []
-        for eid, adj in enumerate(edges):
-            edge_ids[(adj.a, adj.b)] = eid
-            edge_ids[(adj.b, adj.a)] = eid
-            city_lists.append(matrix.indices(adj.interconnect_cities))
-        num_edges = len(edges)
-        width = max((c.size for c in city_lists), default=1)
-        padded = np.zeros((num_edges, width), dtype=np.intp)
-        pad_mask = np.ones((num_edges, width), dtype=bool)
-        for eid, cities in enumerate(city_lists):
-            padded[eid, : cities.size] = cities
-            pad_mask[eid, : cities.size] = False
-        # candidate distances per (city, edge, slot); argmin over slots
-        # reproduces the scalar min()'s first-minimum tie-break because
-        # slots follow interconnect_cities order
-        handover = np.empty((num_edges, n_cities), dtype=np.intp)
-        km = np.empty((num_edges, n_cities))
-        chunk = max(1, 2_000_000 // (n_cities * width))
-        for lo in range(0, num_edges, chunk):
-            hi = min(num_edges, lo + chunk)
-            cand = full_km[:, padded[lo:hi].ravel()].reshape(n_cities, hi - lo, width)
-            cand[:, pad_mask[lo:hi]] = np.inf
-            arg = cand.argmin(axis=2)  # (cities, edges_chunk)
-            rows = np.arange(hi - lo)[np.newaxis, :]
-            handover[lo:hi] = padded[lo:hi][rows, arg].T
-            km[lo:hi] = np.take_along_axis(cand, arg[:, :, np.newaxis], 2)[:, :, 0].T
+        ends = [(adj.a, adj.b) for adj in edges]
+        edge_ids = dict(zip(ends, range(len(edges))))
+        edge_ids.update(zip([(b, a) for a, b in ends], range(len(edges))))
+        widths = np.fromiter(
+            (len(adj.interconnect_cities) for adj in edges), np.intp, len(edges)
+        )
+        cities = matrix.indices(
+            key for adj in edges for key in adj.interconnect_cities
+        )
+        first = np.cumsum(widths) - widths
+        handover = np.empty((len(edges), n_cities), dtype=np.min_scalar_type(n_cities))
+        for width in np.unique(widths).tolist():
+            group = np.flatnonzero(widths == width)
+            # (edges_in_group, width) candidate cities, interconnect order
+            cand = cities[first[group, np.newaxis] + np.arange(width)]
+            if width > 1:
+                # argmin takes the first minimum: the scalar min()'s tie-break
+                cand = np.take_along_axis(cand, full_km[:, cand].argmin(axis=2).T, 1)
+            handover[group] = cand
+        km = full_km[np.arange(n_cities), handover]
         self._edge_tables = (edge_ids, handover, km)
         return self._edge_tables
 

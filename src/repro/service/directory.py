@@ -289,8 +289,14 @@ class RelayDirectory:
             obs.inc("service.directory.ingested_rounds")
             obs.inc("service.directory.evicted_rounds", stats["evicted_rounds"])
             obs.inc("service.directory.touched_lanes", stats["touched_lanes"])
-        for tier, type_code in sorted(touched):
-            self._blocks[(tier, type_code)] = self._compile_block(tier, type_code)
+        for key in sorted(touched):
+            block = self._compile_block(*key)
+            # a block whose rows were all evicted is dropped, not kept
+            # empty: ``recompile`` (and so a loaded snapshot) builds none
+            if block.num_lanes:
+                self._blocks[key] = block
+            else:
+                self._blocks.pop(key, None)
         self._answers = {}
         return all_stats
 

@@ -11,9 +11,8 @@ each chosen country.
 
 Determinism is block-structured: the stream is cut into fixed-size blocks
 and block ``b`` is synthesised from its own seeded generator
-(``SeedSequence([seed, b])``), so any number of workers can synthesise
-disjoint block ranges in parallel and the concatenated stream is
-byte-identical regardless of the worker count (asserted in the tests).
+(``SeedSequence([seed, b])``), so a full block depends only on the seed
+and its index, not on the stream's length (asserted in the tests).
 
 :func:`replay` drives a :class:`~repro.service.service.ShortcutService`
 with the stream in batches, measuring sustained queries/sec and the tier
@@ -36,7 +35,7 @@ from repro.service.directory import RelayDirectory, TIER_NAMES
 from repro.service.results import ServiceStats
 from repro.service.service import ShortcutService
 
-#: Queries per determinism block (the unit of parallel synthesis).
+#: Queries per determinism block (the unit of seeded synthesis).
 BLOCK_SIZE = 4096
 
 #: Buckets of the guide table over the country-pair CDF.
@@ -89,10 +88,6 @@ class LoadgenConfig:
     relay_type: RelayType = RelayType.COR
     """Relay lane the replay queries."""
 
-    workers: int = 1
-    """Parallel synthesis shards.  Purely a partitioning knob: the stream
-    is identical for every worker count."""
-
     country_weights: Mapping[str, float] | None = None
     """Optional per-country multipliers on the Zipf weights (the fault
     timeline's traffic-shift hook): a country's weight is scaled before
@@ -118,8 +113,6 @@ class LoadgenConfig:
             raise ServiceError("zipf_exponent must be positive")
         if self.k < 1:
             raise ServiceError("k must be >= 1")
-        if self.workers < 1:
-            raise ServiceError("workers must be >= 1")
 
 
 def country_rank_order(directory: RelayDirectory) -> list[str]:
@@ -222,19 +215,13 @@ class QueryStream:
         return src, dst
 
     def generate(self) -> tuple[np.ndarray, np.ndarray]:
-        """The full stream, assembled from per-worker block shards.
-
-        Worker ``w`` of ``workers`` synthesises blocks ``w, w + workers,
-        ...`` into their slots of the stream, so the result is invariant
-        in the worker count.
-        """
+        """The full stream: every block, in index order."""
         n = self._config.num_queries if self.num_blocks else 0
         src, dst = np.empty(n, np.int64), np.empty(n, np.int64)
-        for worker in range(self._config.workers):
-            for index in range(worker, self.num_blocks, self._config.workers):
-                lo = index * BLOCK_SIZE
-                hi = min(lo + BLOCK_SIZE, n)
-                src[lo:hi], dst[lo:hi] = self.block(index)
+        for index in range(self.num_blocks):
+            lo = index * BLOCK_SIZE
+            hi = min(lo + BLOCK_SIZE, n)
+            src[lo:hi], dst[lo:hi] = self.block(index)
         return src, dst
 
 
@@ -282,7 +269,6 @@ def replay(
         relay_type=config.relay_type.value,
         zipf_exponent=config.zipf_exponent,
         seed=config.seed,
-        loadgen_workers=config.workers,
         wall_clock_s=round(wall, 4),
         queries_per_s=int(n / wall) if n and wall > 0 else None,
         tier_counts={

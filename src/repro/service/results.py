@@ -160,7 +160,6 @@ class ServiceStats:
         relay_type: Relay lane queried (the type's string value).
         zipf_exponent: Popularity skew of the synthesized stream.
         seed: Root seed of the stream synthesis.
-        loadgen_workers: Parallel synthesis shards (stream-invariant).
         wall_clock_s: Wall-clock time of the timed replay loop.
         queries_per_s: Sustained throughput (None on empty streams).
         tier_counts: Queries answered per tier, keyed by tier name.
@@ -178,7 +177,6 @@ class ServiceStats:
     relay_type: str
     zipf_exponent: float
     seed: int
-    loadgen_workers: int
     wall_clock_s: float
     queries_per_s: int | None
     tier_counts: dict[str, int]
@@ -196,7 +194,6 @@ class ServiceStats:
             "relay_type": self.relay_type,
             "zipf_exponent": self.zipf_exponent,
             "seed": self.seed,
-            "loadgen_workers": self.loadgen_workers,
             "wall_clock_s": self.wall_clock_s,
             "queries_per_s": self.queries_per_s,
             "tier_counts": dict(self.tier_counts),
@@ -209,12 +206,10 @@ class ServiceStats:
 
     # ------------------------------------------------- mapping bridge
     def __getitem__(self, key: str) -> Any:
-        if key == "workers":  # pre-redesign spelling of the synthesis knob
-            return self.loadgen_workers
         return self.as_dict()[key]
 
     def __contains__(self, key: object) -> bool:
-        return key == "workers" or key in self.as_dict()
+        return key in self.as_dict()
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.as_dict())

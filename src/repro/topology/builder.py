@@ -27,6 +27,20 @@ from repro.topology.graph import ASGraph
 from repro.topology.types import ASType, AutonomousSystem, COLO_TENANT_TYPES
 from repro.util.rand import SeedSequenceFactory
 
+#: One bit per AS role: a pair of ASes is the OR of its members' bits.
+_TYPE_BIT = {as_type: 1 << i for i, as_type in enumerate(ASType)}
+
+#: Probability that a facility member of each role joins a hub's IXP.
+_IXP_JOIN_PROB = {
+    ASType.CONTENT: 0.85,
+    ASType.CLOUD: 0.8,
+    ASType.TRANSIT_GLOBAL: 0.6,
+    ASType.TRANSIT_REGIONAL: 0.7,
+    ASType.EYEBALL: 0.5,
+    ASType.RESEARCH: 0.5,
+    ASType.ENTERPRISE: 0.2,
+}
+
 _FACILITY_OPERATORS = (
     "Equinox",
     "Telihouse",
@@ -483,16 +497,7 @@ class TopologyBuilder:
                 pool = set().union(*(f.members for f in attached))
                 members = set()
                 for asn in pool:
-                    as_type = self._graph.get_as(asn).as_type
-                    join_prob = {
-                        ASType.CONTENT: 0.85,
-                        ASType.CLOUD: 0.8,
-                        ASType.TRANSIT_GLOBAL: 0.6,
-                        ASType.TRANSIT_REGIONAL: 0.7,
-                        ASType.EYEBALL: 0.5,
-                        ASType.RESEARCH: 0.5,
-                        ASType.ENTERPRISE: 0.2,
-                    }[as_type]
+                    join_prob = _IXP_JOIN_PROB[self._graph.get_as(asn).as_type]
                     if rng.random() < join_prob:
                         members.add(asn)
                 if len(members) < 3:
@@ -578,21 +583,19 @@ class TopologyBuilder:
         rng = self._seeds.rng("topology.eyeball_transit")
         regionals = self._by_type[ASType.TRANSIT_REGIONAL]
         tier1s = self._by_type[ASType.TRANSIT_GLOBAL]
+        # regionals per home country and per primary-city continent, in
+        # creation order
+        by_country: dict[str, list[int]] = {}
+        by_continent: dict[str, list[int]] = {}
+        for r in regionals:
+            regional = self._graph.get_as(r)
+            by_country.setdefault(regional.cc, []).append(r)
+            by_continent.setdefault(city_of(regional.primary_city).continent, []).append(r)
         for asn in self._by_type[ASType.EYEBALL]:
             asys = self._graph.get_as(asn)
             continent = city_of(asys.primary_city).continent
-            # prefer same-continent regionals; same-country even more
-            same_country = [
-                r for r in regionals if self._graph.get_as(r).cc == asys.cc
-            ]
-            same_continent = [
-                r
-                for r in regionals
-                if city_of(self._graph.get_as(r).primary_city).continent == continent
-            ]
-            pool = same_country if same_country else same_continent
-            if not pool:
-                pool = list(regionals)
+            # prefer same-country regionals, then same-continent ones
+            pool = by_country.get(asys.cc) or by_continent.get(continent) or regionals
             n_providers = int(rng.integers(1, 3))
             chosen = rng.choice(len(pool), size=min(n_providers, len(pool)), replace=False)
             for idx in chosen:
@@ -693,32 +696,52 @@ class TopologyBuilder:
                 shared = [k for k in self._shared_cities(a, b) if city_of(k).is_hub]
                 if shared and rng.random() < cfg.regional_peering_prob:
                     self._graph.add_p2p(a, b, shared[:2])
-        # IXP multilateral peering
+        # IXP multilateral peering: each member pair's type mask names the
+        # one rule (if any) it draws for; within an IXP a pair is visited
+        # once, so the pairs that draw are fixed by the adjacency at the
+        # IXP's start, and one batched draw replays the pair-by-pair order
+        graph = self._graph
+        node_of = {asn: i for i, asn in enumerate(graph.asns())}
+        type_bit = np.fromiter(
+            (_TYPE_BIT[asys.as_type] for asys in graph), np.int64, len(node_of)
+        )
+        adjacent = np.zeros((len(node_of), len(node_of)), dtype=bool)
+        for adj in graph.edges():
+            a, b = node_of[adj.a], node_of[adj.b]
+            adjacent[a, b] = adjacent[b, a] = True
+        prob = self._ixp_peering_probs()
         for ixp in ixps.values():
             members = sorted(ixp.members)
-            for i, a in enumerate(members):
-                type_a = self._graph.get_as(a).as_type
-                for b in members[i + 1 :]:
-                    if self._graph.are_adjacent(a, b):
-                        continue
-                    type_b = self._graph.get_as(b).as_type
-                    pair = {type_a, type_b}
-                    if pair <= {ASType.EYEBALL} and rng.random() < cfg.eyeball_eyeball_peering_prob:
-                        self._graph.add_p2p(a, b, [ixp.city_key])
-                    elif (
-                        ASType.EYEBALL in pair
-                        and (pair & {ASType.CONTENT, ASType.CLOUD})
-                        and rng.random() < cfg.eyeball_content_peering_prob
-                    ):
-                        self._graph.add_p2p(a, b, [ixp.city_key])
-                    elif (
-                        ASType.TRANSIT_REGIONAL in pair
-                        and (pair & {ASType.CONTENT, ASType.CLOUD})
-                        and rng.random() < cfg.content_regional_peering_prob
-                    ):
-                        self._graph.add_p2p(a, b, [ixp.city_key])
-                    elif (
-                        pair <= {ASType.CONTENT, ASType.CLOUD}
-                        and rng.random() < 0.6
-                    ):
-                        self._graph.add_p2p(a, b, [ixp.city_key])
+            node = np.fromiter((node_of[asn] for asn in members), np.intp, len(members))
+            first, second = np.triu_indices(len(members), 1)  # loop order
+            pair_prob = prob[type_bit[node[first]] | type_bit[node[second]]]
+            draws = np.flatnonzero(
+                (pair_prob >= 0) & ~adjacent[node[first], node[second]]
+            )
+            peer = draws[rng.random(draws.size) < pair_prob[draws]]
+            for i, j in zip(first[peer].tolist(), second[peer].tolist()):
+                graph.add_p2p(members[i], members[j], [ixp.city_key])
+            adjacent[node[first[peer]], node[second[peer]]] = True
+            adjacent[node[second[peer]], node[first[peer]]] = True
+
+    def _ixp_peering_probs(self) -> np.ndarray:
+        """IXP peering probability per pair type mask (-1: never peers).
+
+        A pair's mask ORs its two members' type bits.  The four rules'
+        type conditions are disjoint, so a pair draws at most once.
+        """
+        cfg = self._cfg
+        eyeball = _TYPE_BIT[ASType.EYEBALL]
+        regional = _TYPE_BIT[ASType.TRANSIT_REGIONAL]
+        content_cloud = _TYPE_BIT[ASType.CONTENT] | _TYPE_BIT[ASType.CLOUD]
+        prob = np.full(1 << len(ASType), -1.0)
+        for mask in range(1, prob.size):
+            if (mask & ~eyeball) == 0:
+                prob[mask] = cfg.eyeball_eyeball_peering_prob
+            elif mask & eyeball and mask & content_cloud:
+                prob[mask] = cfg.eyeball_content_peering_prob
+            elif mask & regional and mask & content_cloud:
+                prob[mask] = cfg.content_regional_peering_prob
+            elif (mask & ~content_cloud) == 0:
+                prob[mask] = 0.6
+        return prob

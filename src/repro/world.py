@@ -195,8 +195,8 @@ class World:
         """Bulk-precompute routing for the campaign destination set.
 
         Computes every destination routing table in one batched pass, then
-        the attachment-to-attachment one-way delay grid (vectorized
-        wavefront walks over the predecessor arrays) that the latency model
+        the attachment-to-attachment one-way delay grid (hop-sorted
+        vectorized walks over the predecessor arrays) that the latency model
         serves base RTTs from.  Idempotent on coverage, not just per
         session: if the fabric already covers the destination set and the
         installed grid's rows match the attachment list — a snapshot-

@@ -25,6 +25,7 @@ from repro.core.colo import ColoRelayPipeline
 from repro.core.io import load_result, save_result
 from repro.core.oracle import LaneHistory, evaluate_prediction
 from repro.core.types import RelayType
+from repro.core.worldcache import capture_arrays
 from repro.latency.model import Endpoint, LatencyModel
 from repro.service import (
     LoadgenConfig,
@@ -133,6 +134,16 @@ QUERY_STREAMS = {
     "reweighted": "e753c1110673fc9c5c3e48a9fa809906",
 }
 SERVICE_QUERIES = 20_000
+#: blake2b of every ``capture_arrays`` member (name, dtype, shape, bytes) of
+#: a cold seed-11 world after ``ensure_routing_fabric``: topology, fabric
+#: tables, attachment grid and walk memo.  Recorded from the dense-array
+#: fabric, the one-wavefront grid walk and the pair-by-pair IXP peering
+#: draws that the sparse relaxations, hop-sorted walk and batched draws
+#: replaced.
+WORLD_STATE = {
+    "small": "459bd827a74c056fb71b170b85ea39af",
+    "full": "a7eedfa30fa4593660388e9f3d5d8612",
+}
 
 SMALL_CONFIG = WorldConfig(topology=TopologyConfig(country_limit=16))
 
@@ -247,6 +258,28 @@ class TestPrediction:
             ]
             predicted = sum(1 for line in lines if not line.endswith(":"))
             assert (len(lines), predicted, lines_digest(lines)) == expected, relay_type
+
+
+def world_state_digest(config) -> str:
+    """blake2b over a cold world's snapshot arrays, not the ``.npz`` file
+    (zip headers differ across Python versions)."""
+    world = build_world(seed=11, config=config, use_world_cache=False)
+    world.ensure_routing_fabric()
+    digest = hashlib.blake2b(digest_size=16)
+    for name, arr in capture_arrays(world).items():
+        digest.update(name.encode())
+        digest.update(str(arr.dtype).encode())
+        digest.update(repr(arr.shape).encode())
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+class TestWorldState:
+    @pytest.mark.parametrize(
+        "name,config", [("small", SMALL_CONFIG), ("full", WorldConfig())]
+    )
+    def test_cold_world_arrays(self, name, config):
+        assert world_state_digest(config) == WORLD_STATE[name]
 
 
 def stream_digest(service, config) -> str:

@@ -3,8 +3,10 @@
 These complement the per-module suites with randomized checks of the
 relationships the whole methodology rests on: geometry bounds latency,
 stitching can only violate *routed* triangle inequalities, funnels only
-shrink, the feasibility bound is sound by construction, and the shared
-lane-ranking kernel ranks exactly as the two-key lexsort it replaced.
+shrink, the feasibility bound is sound by construction, the shared
+lane-ranking kernel ranks exactly as the two-key lexsort it replaced, and
+the routing fabric's bulk kernels (valley-free tables, hop tables, grid
+walk) agree with the scalar references they replace.
 """
 
 from __future__ import annotations
@@ -16,9 +18,16 @@ from hypothesis import given, settings, strategies as st
 from repro.core.feasibility import is_feasible
 from repro.core.oracle import rank_lane_entries
 from repro.core.stitching import improvement_ms, is_tiv, stitch_rtt
+from repro.errors import RoutingError
 from repro.geo.cities import all_cities
 from repro.geo.distance import min_rtt_ms, propagation_delay_ms
 from repro.latency.model import Endpoint
+from repro.net.ipv4 import IPv4Prefix
+from repro.routing.bgp import BGPRouting
+from repro.routing.fabric import RoutingFabric
+from repro.routing.geopath import GeoPathWalker
+from repro.topology.graph import ASGraph
+from repro.topology.types import ASType, AutonomousSystem
 
 _CITIES = all_cities()
 _city_index = st.integers(0, len(_CITIES) - 1)
@@ -208,3 +217,111 @@ class TestRankingKernel:
         for a, b in zip(got, want):
             assert a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()  # bit for bit, gains included
+
+
+@st.composite
+def _valley_free_graphs(draw):
+    """Small AS graphs with mixed c2p/p2p edges: ASN values in shuffled
+    order against insertion order (so next-hop ASN ties break on value),
+    c2p edges oriented along a random tiering (acyclic by construction),
+    and a split of the destinations into one or two fabric batches."""
+    n = draw(st.integers(2, 12))
+    asns = draw(st.lists(st.integers(1, 10_000), min_size=n, max_size=n, unique=True))
+    tier = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    kinds = draw(st.lists(st.sampled_from("-cp"), min_size=len(pairs), max_size=len(pairs)))
+    graph = ASGraph()
+    for asn in asns:
+        graph.add_as(
+            AutonomousSystem(
+                asn=asn,
+                name=f"AS{asn}",
+                as_type=ASType.TRANSIT_REGIONAL,
+                cc="DE",
+                pop_cities=("Frankfurt/DE",),
+                prefixes=(IPv4Prefix.parse("10.0.0.0/16"),),
+            )
+        )
+    for (i, j), kind in zip(pairs, kinds):
+        if kind == "c":
+            # the lower (tier, index) end is the customer
+            cust, prov = (i, j) if (tier[i], i) < (tier[j], j) else (j, i)
+            graph.add_c2p(asns[cust], asns[prov], ["Frankfurt/DE"])
+        elif kind == "p":
+            graph.add_p2p(asns[i], asns[j], ["Frankfurt/DE"])
+    split = draw(st.integers(0, n))
+    return graph, split
+
+
+def _fabric_over(graph: ASGraph, split: int) -> RoutingFabric:
+    fabric = RoutingFabric(graph)
+    asns = graph.asns()
+    fabric.ensure(asns[:split])
+    fabric.ensure(asns[split:])
+    return fabric
+
+
+def _line_graph(n: int) -> ASGraph:
+    """AS1 <- AS2 <- ... <- ASn (each a customer of the next), one city."""
+    graph = ASGraph()
+    for asn in range(1, n + 1):
+        graph.add_as(
+            AutonomousSystem(
+                asn=asn,
+                name=f"AS{asn}",
+                as_type=ASType.TRANSIT_REGIONAL,
+                cc="DE",
+                pop_cities=("Frankfurt/DE", "Paris/FR"),
+                prefixes=(IPv4Prefix.parse(f"10.{asn}.0.0/16"),),
+            )
+        )
+    for asn in range(2, n + 1):
+        graph.add_c2p(asn, asn - 1, ["Frankfurt/DE", "Paris/FR"])
+    return graph
+
+
+class TestFabricKernels:
+    @settings(max_examples=80, deadline=None)
+    @given(_valley_free_graphs())
+    def test_tables_equal_scalar_reference(self, drawn):
+        graph, split = drawn
+        fabric = _fabric_over(graph, split)
+        reference = BGPRouting(graph)  # no fabric: the scalar computation
+        for dst in graph.asns():
+            assert fabric.table_to(dst) == reference._compute_table(dst), dst
+
+    def test_hop_tables_equal_scalar_handover(self, small_world):
+        walker = GeoPathWalker(small_world.graph)
+        edge_ids, handover, km = walker.hop_tables()
+        cities = range(walker.matrix.size)
+        for adj in small_world.graph.edges():
+            eid = edge_ids[(adj.a, adj.b)]
+            assert edge_ids[(adj.b, adj.a)] == eid
+            want = [walker._handover(p, adj.interconnect_cities)[1] for p in cities]
+            assert handover[eid].tolist() == want, adj
+            # exact: the walk accumulates these values bit for bit
+            assert km[eid].tolist() == [walker._row(p)[h] for p, h in zip(cities, want)], adj
+
+    @pytest.mark.parametrize("corrupt", ["cycle", "distance"])
+    def test_looping_next_hops_fail_the_grid_walk(self, corrupt):
+        graph = _line_graph(4)
+        fabric = RoutingFabric(graph)
+        fabric.ensure(graph.asns())
+        dests, rclass, dist, next_hop = fabric.export_tables()
+        row = dests.index(1)  # toward AS1: AS4 -> AS3 -> AS2 -> AS1
+        next_hop = next_hop.copy()
+        dist = dist.copy()
+        if corrupt == "cycle":
+            # AS3's next hop is AS4: AS4 -> AS3 -> AS4 -> AS3 after 3 hops
+            next_hop[row, 2] = 3
+        else:
+            dist[row, 3] = 10 * len(graph)  # beyond any simple path
+        looped = RoutingFabric(graph)
+        looped.restore_tables(dests, rclass, dist, next_hop)
+        walker = GeoPathWalker(graph)
+        attachments = [(1, "Frankfurt/DE"), (4, "Paris/FR")]
+        with pytest.raises(RoutingError, match="routing loop"):
+            looped.build_attachment_grid(walker, attachments, 0.5)
+        # the untouched tables walk fine over the same attachments
+        grid, _ = fabric.build_attachment_grid(walker, attachments, 0.5)
+        assert np.isfinite(grid).all()

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.oracle import LaneHistory
+from repro.core.table import ObservationTable
 from repro.core.types import RELAY_TYPE_ORDER, RelayType
 from repro.errors import ServiceError, StoreError
 from repro.service import (
@@ -272,6 +273,20 @@ class TestIngest:
             assert np.array_equal(a.tier, b.tier)
             assert np.array_equal(a.reduction_ms, b.reduction_ms, equal_nan=True)
 
+    def test_eviction_drops_emptied_blocks(self, small_campaign_result):
+        """A round that evicts every row of some blocks leaves the
+        directory as a recompile, and so a snapshot load, builds it."""
+        svc = ShortcutService.empty(max_rounds=1)
+        svc.ingest_round(small_campaign_result.rounds[0])
+        stats = svc.ingest_round(ObservationTable.empty(), round_id=1)
+        assert stats["evicted_rounds"] == 1
+        assert svc.directory.stats()["lanes_pair_COR"] == 0
+        restored = ShortcutService.load(io.BytesIO(_snapshot_bytes(svc)))
+        incremental = svc.directory.block_signature()
+        assert restored.directory.block_signature() == incremental
+        svc.directory.recompile()
+        assert svc.directory.block_signature() == incremental
+
     def test_ttl_evicts_oldest(self, small_campaign_result):
         svc = ShortcutService.empty(max_rounds=2)
         for rnd in small_campaign_result.rounds:
@@ -442,19 +457,21 @@ class TestSnapshot:
 
 
 class TestLoadgen:
-    def test_stream_invariant_in_worker_count(self, service):
-        base = LoadgenConfig(num_queries=10_000, seed=5)
-        src1, dst1 = QueryStream(service.directory, base).generate()
-        many = LoadgenConfig(num_queries=10_000, seed=5, workers=4)
-        src4, dst4 = QueryStream(service.directory, many).generate()
-        assert np.array_equal(src1, src4)
-        assert np.array_equal(dst1, dst4)
-
-    def test_replay_digest_invariant_in_worker_count(self, service):
-        a = replay(service, LoadgenConfig(num_queries=6_000, workers=1))
-        b = replay(service, LoadgenConfig(num_queries=6_000, workers=3))
-        assert a["answers_digest"] == b["answers_digest"]
-        assert a["tier_counts"] == b["tier_counts"]
+    def test_full_block_depends_only_on_seed_and_index(self, service):
+        """Block ``b`` is synthesised from ``(seed, b)`` alone: a full block
+        is the same whatever the stream's length, and a block from
+        another seed is not."""
+        size = loadgen.BLOCK_SIZE
+        short_src, short_dst = QueryStream(
+            service.directory, LoadgenConfig(num_queries=2 * size + 100, seed=5)
+        ).generate()
+        long_src, long_dst = QueryStream(
+            service.directory, LoadgenConfig(num_queries=4 * size, seed=5)
+        ).generate()
+        assert np.array_equal(short_src[: 2 * size], long_src[: 2 * size])
+        assert np.array_equal(short_dst[: 2 * size], long_dst[: 2 * size])
+        other = QueryStream(service.directory, LoadgenConfig(num_queries=4 * size, seed=6))
+        assert not np.array_equal(other.block(1)[0], long_src[size : 2 * size])
 
     def test_replay_digest_depends_on_seed(self, service):
         a = replay(service, LoadgenConfig(num_queries=4_000, seed=1))
@@ -501,7 +518,6 @@ class TestLoadgen:
             {"batch_size": 0},
             {"zipf_exponent": 0.0},
             {"k": 0},
-            {"workers": 0},
         ):
             with pytest.raises(ServiceError):
                 LoadgenConfig(**bad)

@@ -124,7 +124,6 @@ class TestTypedResults:
         stats = replay(service, config)
         # legacy dict-style consumers keep working through the bridge
         assert stats["queries"] == stats.queries
-        assert stats["workers"] == stats.loadgen_workers
         as_dict = stats.as_dict()
         assert as_dict["queries"] == stats.queries
         assert as_dict["tier_counts"] == stats.tier_counts
