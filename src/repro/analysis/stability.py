@@ -4,48 +4,53 @@ Two results: (i) per-round improvement fractions stay consistent across
 the campaign (COR >75%, RAR_other >50%, PLR/RAR_eye <50% in the paper's
 every round), and (ii) per-pair RTT medians are stable over time — the
 coefficient of variation across rounds is below 10% for 90% of pairs,
-"indicating stable, usable overlays".
+"indicating stable, usable overlays".  The medians arrive as each round's
+:class:`~repro.core.results.MedianColumns`, so the CVs are grouped on
+integer keys without building a per-pair Python object.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.results import CampaignResult
+from repro.core.results import CampaignResult, MedianColumns
 from repro.core.types import RELAY_TYPE_ORDER, RelayType
 from repro.errors import AnalysisError
 
 
-def series_cvs(rounds: Sequence[Mapping], min_occurrences: int) -> list[float]:
-    """Coefficient of variation of each key's values across ``rounds``.
+def series_cvs(rounds: Sequence[MedianColumns], min_occurrences: int) -> list[float]:
+    """Coefficient of variation of each ``(a, b)`` key's medians across ``rounds``.
 
-    ``rounds`` holds one ``{key: value}`` mapping per round; a key seen in
-    fewer than ``min_occurrences`` (at least 2) rounds is skipped.  Each CV is
-    :func:`~repro.util.stats.coefficient_of_variation` of the key's values
-    in round order, computed for all keys at once: keys are listed in order
-    of first appearance, sums run left to right like Python's ``sum``, and
-    squares call ``pow`` like ``** 2``.
+    ``rounds`` holds one :class:`MedianColumns` per round, each key at most
+    once; a key seen in fewer than ``min_occurrences`` (at least 2) rounds
+    is skipped.  Each CV is :func:`~repro.util.stats.coefficient_of_variation`
+    of the key's medians in round order, computed for all keys at once:
+    keys are listed in order of first appearance, sums run left to right
+    like Python's ``sum``, and squares call ``pow`` like ``** 2``.
 
     Raises:
         AnalysisError: if a kept key's values have a zero mean.
     """
-    chain = itertools.chain.from_iterable
-    size = sum(map(len, rounds))
-    # a key's code is the number of distinct keys seen before it first appears
-    index: dict = {}
-    codes = np.fromiter(
-        map(index.setdefault, chain(rounds), map(len, itertools.repeat(index))), np.intp, size
-    )
-    values = np.fromiter(chain(r.values() for r in rounds), np.float64, size)
-    counts = np.bincount(codes, minlength=len(index))
-    starts = np.cumsum(counts) - counts
+    def joined(name: str, dtype) -> np.ndarray:
+        parts = [np.empty(0, dtype)] + [getattr(r, name) for r in rounds]
+        return np.concatenate(parts, dtype=dtype)
+
+    # one int64 per (a, b) key; a stable sort groups each key's values in
+    # round order, and the groups are then listed by first appearance
+    keys = (joined("a", np.int64) << 32) | (joined("b", np.int64) & 0xFFFFFFFF)
+    order = np.argsort(keys, kind="stable")
+    keys, grouped = keys[order], joined("ms", np.float64)[order]
+    new_key = np.ones(len(keys), bool)
+    new_key[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(new_key)
+    counts = np.diff(starts, append=len(keys))
+    by_first = np.argsort(order[starts])
+    counts, starts = counts[by_first], starts[by_first]
     keep = counts >= min_occurrences
     counts, starts = counts[keep], starts[keep]
     # one row per kept key: its values in round order, zero-padded
-    grouped = values[np.argsort(codes, kind="stable")]
     live = np.arange(counts.max(initial=0)) < counts[:, None]
     offsets = np.where(live, starts[:, None] + np.arange(live.shape[1]), 0)
     rows = np.where(live, grouped[offsets], 0.0)
@@ -64,7 +69,12 @@ def series_cvs(rounds: Sequence[Mapping], min_occurrences: int) -> list[float]:
 
 
 class StabilityAnalysis:
-    """CV-over-time and per-round consistency of a campaign result."""
+    """CV-over-time and per-round consistency of a campaign result.
+
+    A direct pair's series is its rounds' ``direct_medians`` entries and an
+    (endpoint, relay) leg's its ``relay_medians`` entries, keyed by
+    endpoint code and by endpoint code or registry index.
+    """
 
     def __init__(self, result: CampaignResult, min_occurrences: int = 3) -> None:
         if len(result.rounds) < 2:

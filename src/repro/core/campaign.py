@@ -51,6 +51,7 @@ from repro.core.feasibility import feasibility_mask
 from repro.core.relays import AtlasRelaySelector, PlanetLabRelaySelector
 from repro.core.results import (
     CampaignResult,
+    MedianColumns,
     RelayRegistry,
     RoundResult,
 )
@@ -77,16 +78,6 @@ class _RelayArrays:
     @property
     def count(self) -> int:
         return len(self.items)
-
-
-@dataclass(frozen=True, slots=True)
-class _RoundFeasibility:
-    """Step 3's output: the Sec 2.4 bound for every (pair, relay) at once."""
-
-    pair_keys: tuple[tuple[str, str], ...]
-    e1_rows: np.ndarray  #: (pairs,) endpoint rows of each pair's first id
-    e2_rows: np.ndarray  #: (pairs,) endpoint rows of each pair's second id
-    mask: np.ndarray  #: (pairs × relays) feasibility mask
 
 
 class MeasurementCampaign:
@@ -216,24 +207,25 @@ class MeasurementCampaign:
         )
         absent = effects.absent_ids if effects is not None else frozenset()
 
-        # step 1: endpoints (one probe-id lookup table for the whole round)
+        # step 1: endpoints
         with self._sp_sampling:
             endpoints = self._eyeballs.sample_endpoints(rng)
         if absent:
             # churn filters *after* sampling: selector RNG consumption is
             # unchanged, only the dark probes drop out of the round
             endpoints = [p for p in endpoints if p.probe_id not in absent]
-        by_id = {p.probe_id: p for p in endpoints}
-        endpoint_ids = set(by_id)
-
-        # every (i < j) endpoint pair, row-major; the pair keys are shared
-        # by the two direct steps (they measure the same pair list)
-        pair_idx = np.triu_indices(len(endpoints), 1)
         probe_ids = [p.probe_id for p in endpoints]
-        direct_keys = [
-            self._pair_key(probe_ids[i], probe_ids[j])
-            for i, j in zip(pair_idx[0].tolist(), pair_idx[1].tolist())
-        ]
+        # the endpoints' codes in the campaign's id pool, interned once in
+        # sample order: medians and table id columns gather from them
+        ep_ids = self._pools.endpoint_ids.codes(probe_ids)
+
+        # every (i < j) endpoint pair, row-major, shared by the two direct
+        # steps (they measure the same pair list); ``pairs`` holds each
+        # pair's two rows ordered as its probe ids sort, the smaller first
+        i_idx, j_idx = pair_idx = np.triu_indices(len(endpoints), 1)
+        rank = np.argsort(sorted(range(len(endpoints)), key=probe_ids.__getitem__))
+        swap = rank[i_idx] > rank[j_idx]
+        pairs = (np.where(swap, j_idx, i_idx), np.where(swap, i_idx, j_idx))
         # the round's deterministic pair terms as one (endpoints × endpoints)
         # grid: both direct steps gather their legs' base/loss by index
         endpoint_eps = [p.node.endpoint for p in endpoints]
@@ -252,43 +244,28 @@ class MeasurementCampaign:
 
         # step 2: direct medians (drive feasibility)
         with self._sp_direct:
-            step2_direct, sent = self._measure_direct(
-                direct_keys, rng, egrid, pair_idx
-            )
+            step2, sent = self._measure_direct(rng, egrid, pair_idx)
         pings_sent += sent
 
         # step 3: relay sets + per-pair feasibility as one broadcast mask
         with self._sp_relays:
             relay_arrays = self._assemble_relays(
-                round_index, rng, endpoint_ids, absent
+                round_index, rng, set(probe_ids), absent
             )
         with self._sp_feasibility:
-            feasibility = self._feasible_relays(
-                endpoints, relay_arrays, step2_direct
-            )
+            feasible = self._feasible_relays(endpoints, relay_arrays, pairs, step2)
 
-        # step 4: synced re-measurement + legs + stitching
+        # step 4: synced re-measurement + legs + stitching.  A leg is
+        # needed when a pair with a valid step-4 median finds the relay
+        # feasible: both of the pair's endpoint rows get it
         with self._sp_direct:
-            step4_direct, sent = self._measure_direct(
-                direct_keys, rng, egrid, pair_idx
-            )
+            step4, sent = self._measure_direct(rng, egrid, pair_idx)
         pings_sent += sent
-        keep = np.fromiter(
-            (pair in step4_direct for pair in feasibility.pair_keys),
-            dtype=bool,
-            count=len(feasibility.pair_keys),
-        )
+        cases = ~np.isnan(step4)
+        kept, cols = np.nonzero(feasible[cases])
         needed = np.zeros((len(endpoints), relay_arrays.count), dtype=bool)
-        if relay_arrays.count:
-            kept_mask = feasibility.mask[keep]
-            # accumulate per-endpoint rows with |= instead of
-            # np.logical_or.at: the ufunc.at path is an order of magnitude
-            # slower than ~2 vector ORs per pair
-            e1_kept = feasibility.e1_rows[keep].tolist()
-            e2_kept = feasibility.e2_rows[keep].tolist()
-            for r1, r2, m in zip(e1_kept, e2_kept, kept_mask):
-                needed[r1] |= m
-                needed[r2] |= m
+        needed[pairs[0][cases][kept], cols] = True
+        needed[pairs[1][cases][kept], cols] = True
         with self._sp_pair_grid:
             rgrid = self._world.latency.pair_grid(
                 endpoint_eps, [ep for _, ep in relay_arrays.items]
@@ -300,16 +277,18 @@ class MeasurementCampaign:
                 )
         with self._sp_legs:
             leg_matrix, leg_medians, sent = self._measure_legs(
-                endpoints, needed, relay_arrays, rng, rgrid
+                ep_ids, needed, relay_arrays, rng, rgrid
             )
         pings_sent += sent
 
         with self._sp_stitch:
             table = self._stitch_table(
                 round_index,
-                by_id,
-                step4_direct,
-                feasibility,
+                endpoints,
+                ep_ids,
+                pairs,
+                step4,
+                feasible,
                 relay_arrays,
                 leg_matrix,
             )
@@ -317,10 +296,11 @@ class MeasurementCampaign:
         return RoundResult(
             round_index=round_index,
             timestamp_hours=round_index * cfg.round_interval_hours,
-            endpoint_ids=tuple(sorted(endpoint_ids)),
+            endpoint_ids=tuple(sorted(probe_ids)),
             relay_indices_by_type=self._indices_by_type(relay_arrays),
             table=table,
-            direct_medians=step4_direct,
+            # step 4's valid pairs are the table's cases, in case order
+            direct_medians=MedianColumns(table.e1_id, table.e2_id, table.direct_rtt_ms),
             relay_medians=leg_medians,
             pings_sent=pings_sent,
         )
@@ -359,57 +339,42 @@ class MeasurementCampaign:
 
     def _measure_direct(
         self,
-        pair_keys: list[tuple[str, str]],
         rng: np.random.Generator,
         grid: PairGrid,
         pair_idx: tuple[np.ndarray, np.ndarray],
-    ) -> tuple[dict[tuple[str, str], float], int]:
+    ) -> tuple[np.ndarray, int]:
         """Median direct RTT per endpoint pair (ping direction randomised).
 
         Each leg's deterministic terms are gathered from the round grid by
-        endpoint index; a flipped pair swaps its indices.
+        endpoint index; a flipped pair swaps its indices.  NaN marks a pair
+        with too few replies.
         """
-        flips = rng.random(len(pair_keys)) < 0.5
         i_idx, j_idx = pair_idx
-        medians, sent = self._charged_medians(
+        flips = rng.random(len(i_idx)) < 0.5
+        return self._charged_medians(
             grid, np.where(flips, j_idx, i_idx), np.where(flips, i_idx, j_idx), rng
         )
-        return {
-            key: med
-            for key, med in zip(pair_keys, medians.tolist())
-            if med == med
-        }, sent
-
-    @staticmethod
-    def _pair_key(id1: str, id2: str) -> tuple[str, str]:
-        return (id1, id2) if id1 <= id2 else (id2, id1)
 
     def _feasible_relays(
         self,
         endpoints: list[AtlasProbe],
         relays: _RelayArrays,
-        direct: dict[tuple[str, str], float],
-    ) -> _RoundFeasibility:
+        pairs: tuple[np.ndarray, np.ndarray],
+        direct_ms: np.ndarray,
+    ) -> np.ndarray:
         """Sec 2.4 filter for the whole round: one (pairs × relays) broadcast.
 
         Builds the round's (endpoints × relays) one-way delay matrix once
         and evaluates ``2 * (D[e1, r] + D[r, e2]) <= RTT(e1, e2)`` for every
-        pair and relay in a single :func:`feasibility_mask` call.
+        pair and relay in a single :func:`feasibility_mask` call.  A pair
+        whose step-2 median is NaN (invalid) finds no relay feasible.
         """
+        if not relays.count or not len(direct_ms):
+            return np.zeros((len(direct_ms), relays.count), dtype=bool)
         matrix = self._world.delay_matrix
-        row_of = {p.probe_id: k for k, p in enumerate(endpoints)}
-        pair_keys = tuple(direct)
-        n = len(pair_keys)
-        e1_rows = np.fromiter((row_of[id1] for id1, _ in pair_keys), np.intp, n)
-        e2_rows = np.fromiter((row_of[id2] for _, id2 in pair_keys), np.intp, n)
-        if not relays.count or not n:
-            mask = np.zeros((n, relays.count), dtype=bool)
-            return _RoundFeasibility(pair_keys, e1_rows, e2_rows, mask)
         endpoint_cities = matrix.indices(p.node.endpoint.city_key for p in endpoints)
         one_way = matrix.one_way_ms_matrix(endpoint_cities, relays.city_idx)
-        direct_ms = np.fromiter((direct[pair] for pair in pair_keys), float, n)
-        mask = feasibility_mask(one_way, e1_rows, e2_rows, direct_ms)
-        return _RoundFeasibility(pair_keys, e1_rows, e2_rows, mask)
+        return feasibility_mask(one_way, pairs[0], pairs[1], direct_ms)
 
     def _assemble_relays(
         self,
@@ -512,20 +477,20 @@ class MeasurementCampaign:
 
     def _measure_legs(
         self,
-        endpoints: list[AtlasProbe],
+        ep_ids: np.ndarray,
         needed: np.ndarray,
         relays: _RelayArrays,
         rng: np.random.Generator,
         grid: PairGrid,
-    ) -> tuple[np.ndarray, dict[tuple[str, int], float] | None, int]:
+    ) -> tuple[np.ndarray, MedianColumns | None, int]:
         """Median RTT for every needed (endpoint, relay) leg.
 
         Returns the (endpoints × relays) leg-median matrix (NaN where a leg
-        was not measured or had too few replies), the same medians keyed by
-        ``(probe_id, registry_idx)`` for the round record (None — not built
-        at all — when the config says not to record them), and pings sent.
-        The needed legs' terms are gathered straight off the round's
-        (endpoints × relays) grid.
+        was not measured or had too few replies), the valid medians as
+        (endpoint code, registry index, ms) columns for the round record
+        (None — not built at all — when the config says not to record
+        them), and pings sent.  The needed legs' terms are gathered
+        straight off the round's (endpoints × relays) grid.
         """
         e_rows, cols = np.nonzero(needed)
         medians, sent = self._charged_medians(grid, e_rows, cols, rng)
@@ -533,61 +498,51 @@ class MeasurementCampaign:
         leg_matrix[e_rows, cols] = medians
         if not self._cfg.record_relay_medians:
             return leg_matrix, None, sent
-        probe_ids = [p.probe_id for p in endpoints]
-        registry_idx = relays.registry_idx.tolist()
-        leg_medians = {
-            (probe_ids[e], registry_idx[c]): med
-            for e, c, med in zip(e_rows.tolist(), cols.tolist(), medians.tolist())
-            if med == med
-        }
+        valid = ~np.isnan(medians)
+        leg_medians = MedianColumns(
+            ep_ids[e_rows[valid]],
+            relays.registry_idx[cols[valid]].astype(np.int32),
+            medians[valid],
+        )
         return leg_matrix, leg_medians, sent
 
     def _stitch_table(
         self,
         round_index: int,
-        by_id: dict[str, AtlasProbe],
-        direct: dict[tuple[str, str], float],
-        feasibility: _RoundFeasibility,
+        endpoints: list[AtlasProbe],
+        ep_ids: np.ndarray,
+        pairs: tuple[np.ndarray, np.ndarray],
+        direct: np.ndarray,
+        feasible: np.ndarray,
         relays: _RelayArrays,
         leg_matrix: np.ndarray,
     ) -> ObservationTable:
         """Assemble the round's columnar observation table from its matrices.
 
-        All per-(pair, relay) arithmetic — stitching, improvement, best-relay
-        selection, same-country grouping — happens as broadcasts, and the
-        results land directly in :class:`ObservationTable` columns.  No
-        per-pair packaging loop: the only remaining Python iteration interns
-        the round's endpoint identity strings — once per *endpoint*, fanned
-        out to pairs by index gathers.
+        ``direct`` holds step 4's median per round pair (NaN = invalid); a
+        pair with a valid one is a case, stitched over the relays step 3
+        found ``feasible`` for it.  All per-(pair, relay) arithmetic —
+        stitching, improvement, best-relay selection, same-country grouping
+        — happens as broadcasts, and the results land directly in
+        :class:`ObservationTable` columns.  The only Python iteration
+        interns the round's endpoint countries and cities — once per
+        *endpoint*, fanned out to pairs by index gathers.
         """
-        # per-endpoint identity codes, interned once; every per-pair column
-        # below is a row gather out of these three small arrays.  The pool
-        # interning order (by_id iteration) is unchanged, so table payloads
-        # stay byte-identical to the per-pair generator path this replaces.
         pools = self._pools
-        n_ep = len(by_id)
-        row_of: dict[str, int] = {}
-        ep_codes = np.empty((n_ep, 3), np.int32)
-        ep_cmp = np.empty(n_ep, np.intp)
-        for k, (pid, probe) in enumerate(by_id.items()):
-            row_of[pid] = k
-            ep_codes[k, 0] = pools.endpoint_ids.code(pid)
-            ep_codes[k, 1] = pools.countries.code(probe.cc)
-            ep_codes[k, 2] = pools.cities.code(probe.node.city_key)
-            ep_cmp[k] = self._cc_cmp_code(probe.cc)
-
-        pair_rows = {
-            pair: k for k, pair in enumerate(feasibility.pair_keys) if pair in direct
-        }
-        num_types = len(RELAY_TYPE_ORDER)
-        n_pairs = len(pair_rows)
-        rows = np.fromiter(pair_rows.values(), np.intp, n_pairs)
-        e1_rows = feasibility.e1_rows[rows]
-        e2_rows = feasibility.e2_rows[rows]
-        mask = feasibility.mask[rows]
-        direct_ms = np.fromiter(
-            (direct[pair] for pair in pair_rows), float, n_pairs
+        ep_cc = pools.countries.codes(p.cc for p in endpoints)
+        ep_city = pools.cities.codes(p.node.city_key for p in endpoints)
+        ep_cmp = np.fromiter(
+            (self._cc_cmp_code(p.cc) for p in endpoints), np.intp, len(endpoints)
         )
+
+        # one row per case, in pair order
+        cases = ~np.isnan(direct)
+        num_types = len(RELAY_TYPE_ORDER)
+        e1_rows = pairs[0][cases]
+        e2_rows = pairs[1][cases]
+        mask = feasible[cases]
+        direct_ms = direct[cases]
+        n_obs = len(direct_ms)
 
         # (pairs × relays) stitched overlay RTTs and derived masks
         stitched = leg_matrix[e1_rows] + leg_matrix[e2_rows]
@@ -613,11 +568,11 @@ class MeasurementCampaign:
         type_bounds = np.searchsorted(
             relays.type_codes, np.arange(num_types + 1)
         ).tolist()
-        feasible_counts = np.zeros((num_types, n_pairs), dtype=np.intp)
-        best_cols = np.zeros((num_types, n_pairs), dtype=np.intp)
-        best_vals = np.full((num_types, n_pairs), np.inf)
-        flags = np.zeros((num_types, 4, n_pairs), dtype=bool)
-        arange = np.arange(n_pairs)
+        feasible_counts = np.zeros((num_types, n_obs), dtype=np.int32)
+        best_cols = np.zeros((num_types, n_obs), dtype=np.intp)
+        best_vals = np.full((num_types, n_obs), np.inf)
+        flags = np.zeros((num_types, 4, n_obs), dtype=bool)
+        arange = np.arange(n_obs)
         for code in range(num_types if relays.count else 0):
             lo, hi = type_bounds[code], type_bounds[code + 1]
             if lo == hi:
@@ -644,64 +599,29 @@ class MeasurementCampaign:
         imp_reg = relays.registry_idx[imp_col].astype(np.int32)
         imp_gain = direct_ms[imp_pair] - stitched[imp_pair, imp_col]
         imp_group = imp_pair * num_types + relays.type_codes[imp_col]
-        group_counts = np.bincount(imp_group, minlength=n_pairs * num_types)
-
-        # scatter the packed (step-2 ∩ step-4) rows into step-4 case order.
-        # Both pair_rows and `direct` iterate subsequences of the round's
-        # pair list, so the packed pairs appear in the same relative order
-        # in both — the entry arrays above are already in case order and
-        # only the per-case counts need scattering.
-        n_obs = len(direct)
-        if len(pair_rows) == n_obs:  # pair_rows ⊆ direct, so equal size ⇒ equal
-            case_of_packed = np.arange(n_obs)
-        else:
-            packed = set(pair_rows)
-            case_of_packed = np.fromiter(
-                (j for j, pair in enumerate(direct) if pair in packed),
-                np.intp,
-                len(pair_rows),
-            )
+        indptr = np.zeros(n_obs * num_types + 1, np.int64)
+        np.cumsum(np.bincount(imp_group, minlength=n_obs * num_types), out=indptr[1:])
 
         usable_best = best_vals != np.inf
         best_relay_col = np.full((num_types, n_obs), -1, np.int32)
-        if relays.count:
-            best_relay_col[:, case_of_packed] = np.where(
-                usable_best, relays.registry_idx[best_cols], -1
-            )
-        best_stitched_col = np.full((num_types, n_obs), np.nan)
-        best_stitched_col[:, case_of_packed] = np.where(
-            usable_best, best_vals, np.nan
-        )
-        feasible_col = np.zeros((num_types, n_obs), np.int32)
-        feasible_col[:, case_of_packed] = feasible_counts
-        flags_col = np.zeros((num_types, 4, n_obs), bool)
-        flags_col[:, :, case_of_packed] = flags
-        counts_col = np.zeros((n_obs, num_types), np.int64)
-        counts_col[case_of_packed] = group_counts.reshape(n_pairs, num_types)
-        indptr = np.zeros(n_obs * num_types + 1, np.int64)
-        np.cumsum(counts_col.reshape(-1), out=indptr[1:])
+        best_relay_col[usable_best] = relays.registry_idx[best_cols[usable_best]]
 
-        # endpoint identity columns: one row-index per pair side, then a
-        # fused gather out of the per-endpoint code array built above
-        d_e1 = np.fromiter((row_of[p1] for p1, _ in direct), np.intp, n_obs)
-        d_e2 = np.fromiter((row_of[p2] for _, p2 in direct), np.intp, n_obs)
-        e1_codes = ep_codes[d_e1]
-        e2_codes = ep_codes[d_e2]
-
+        # endpoint identity columns: a gather per pair side out of the
+        # per-endpoint codes
         return ObservationTable(
             pools,
             round_idx=np.full(n_obs, round_index, np.int32),
-            e1_id=e1_codes[:, 0].copy(),
-            e2_id=e2_codes[:, 0].copy(),
-            e1_cc=e1_codes[:, 1].copy(),
-            e2_cc=e2_codes[:, 1].copy(),
-            e1_city=e1_codes[:, 2].copy(),
-            e2_city=e2_codes[:, 2].copy(),
-            direct_rtt_ms=np.fromiter(direct.values(), float, n_obs),
+            e1_id=ep_ids[e1_rows],
+            e2_id=ep_ids[e2_rows],
+            e1_cc=ep_cc[e1_rows],
+            e2_cc=ep_cc[e2_rows],
+            e1_city=ep_city[e1_rows],
+            e2_city=ep_city[e2_rows],
+            direct_rtt_ms=direct_ms,
             best_relay=best_relay_col,
-            best_stitched=best_stitched_col,
-            feasible=feasible_col,
-            country_flags=flags_col,
+            best_stitched=np.where(usable_best, best_vals, np.nan),
+            feasible=feasible_counts,
+            country_flags=flags,
             imp_indptr=indptr,
             imp_relay=imp_reg,
             imp_gain=imp_gain,

@@ -8,13 +8,16 @@ ids, relay indices by type, pings sent and whether it recorded relay
 medians); the table string pools (``pool.*``); the relay registry's
 payload columns (``relay.*``); then per round ``k`` its
 :class:`~repro.core.table.ObservationTable` columns (``round<k>.*``) and
-its direct and relay medians as (endpoint code, endpoint code or relay
-index, ms) columns in dict insertion order (``round<k>.direct.*`` /
-``round<k>.relay.*``).  It is uncompressed because the loader
-memory-maps it: loaded columns are read-only views of the file and no
-per-case Python object is built.  Version-1 files were JSON; they, like
-any file that is not a format-2 archive, raise
-:class:`~repro.errors.StoreError` naming the path — re-run the campaign.
+its direct and relay medians: the three
+:class:`~repro.core.results.MedianColumns` arrays ``a`` (endpoint code),
+``b`` (endpoint code or relay registry index) and ``ms``, in measurement
+order (``round<k>.direct.*`` / ``round<k>.relay.*``).  It is uncompressed
+because the loader memory-maps it: loaded columns, medians included, are
+read-only views of the file and no per-case or per-median Python object
+is built; the loader checks the median columns' lengths and code ranges
+instead.  Version-1 files were JSON; they, like any file that is not a
+format-2 archive, raise :class:`~repro.errors.StoreError` naming the
+path — re-run the campaign.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import os
 
 import numpy as np
 
-from repro.core.results import CampaignResult, RelayRegistry, RoundResult
+from repro.core.results import CampaignResult, MedianColumns, RelayRegistry, RoundResult
 from repro.core.store import read_arrays, str_array, write_arrays
 from repro.core.table import Interner, ObservationTable, TablePools
 from repro.core.types import RelayType
@@ -43,8 +46,6 @@ def save_result(result: CampaignResult, path: str | os.PathLike) -> None:
     pools = result.rounds[0].table.pools if result.rounds else TablePools.fresh()
     if any(rnd.table.pools is not pools for rnd in result.rounds):
         raise AnalysisError("cannot save round tables that use different pools")
-    # a copy: median endpoints missing from the pool must not grow the live one
-    endpoints = Interner(pools.endpoint_ids.values)
     rounds, columns = [], {}
     for k, rnd in enumerate(result.rounds):
         rounds.append({
@@ -61,17 +62,9 @@ def save_result(result: CampaignResult, path: str | os.PathLike) -> None:
         for name in ObservationTable._ARRAY_FIELDS:
             columns[prefix + name] = getattr(rnd.table, name)
         for kind, medians in (("direct", rnd.direct_medians), ("relay", rnd.relay_medians)):
-            if medians is None:
-                continue
-            second = (b for _, b in medians)
-            columns[f"{prefix}{kind}.a"] = endpoints.codes(a for a, _ in medians)
-            columns[f"{prefix}{kind}.b"] = (
-                endpoints.codes(second) if kind == "direct"
-                else np.fromiter(second, np.int32, len(medians))
-            )
-            columns[f"{prefix}{kind}.ms"] = np.fromiter(
-                medians.values(), np.float64, len(medians)
-            )
+            if medians is not None:
+                for name in ("a", "b", "ms"):
+                    columns[f"{prefix}{kind}.{name}"] = getattr(medians, name)
     meta = {
         "format_version": FORMAT_VERSION,
         "colo_filter_funnel": list(result.colo_filter_funnel),
@@ -80,7 +73,7 @@ def save_result(result: CampaignResult, path: str | os.PathLike) -> None:
     }
     arrays = {
         "meta": np.asarray([json.dumps(meta)]),
-        "pool.endpoint_ids": str_array(endpoints.values),
+        "pool.endpoint_ids": str_array(pools.endpoint_ids.values),
         "pool.countries": str_array(pools.countries.values),
         "pool.cities": str_array(pools.cities.values),
     }
@@ -93,11 +86,14 @@ def save_result(result: CampaignResult, path: str | os.PathLike) -> None:
 def load_result(path: str | os.PathLike) -> CampaignResult:
     """Read a campaign result written by :func:`save_result`.
 
-    Table columns are read-only maps of the file.
+    Table and median columns are read-only maps of the file.
 
     Raises:
         StoreError: naming ``path``, if the file is missing, truncated or
-            not a format-2 result archive (a version-1 JSON file included).
+            not a format-2 result archive (a version-1 JSON file included),
+            or if a round's median columns differ in length or hold an
+            endpoint code outside the id pool or a relay index outside the
+            registry.
     """
     arrays = read_arrays(path)
     try:
@@ -120,13 +116,16 @@ def load_result(path: str | os.PathLike) -> CampaignResult:
             Interner(arrays[f"pool.{name}"].tolist())
             for name in ("endpoint_ids", "countries", "cities")
         ))
-        endpoint = pools.endpoint_ids.values.__getitem__
 
-        def medians(prefix: str, second=None) -> dict:
-            a = map(endpoint, arrays[prefix + ".a"].tolist())
-            b = arrays[prefix + ".b"].tolist()
-            keys = zip(a, map(second, b) if second else b)
-            return dict(zip(keys, arrays[prefix + ".ms"].tolist()))
+        def medians(prefix: str, b_limit: int) -> MedianColumns:
+            cols = MedianColumns(*(arrays[f"{prefix}.{name}"] for name in ("a", "b", "ms")))
+            if not len(cols.a) == len(cols.b) == len(cols.ms):
+                raise StoreError(path, f"{prefix} columns differ in length")
+            for name, limit in (("a", len(pools.endpoint_ids)), ("b", b_limit)):
+                codes = getattr(cols, name)
+                if codes.size and not 0 <= codes.min() <= codes.max() < limit:
+                    raise StoreError(path, f"{prefix}.{name} holds a code outside [0, {limit})")
+            return cols
 
         rounds = []
         for k, info in enumerate(meta["rounds"]):
@@ -141,8 +140,10 @@ def load_result(path: str | os.PathLike) -> CampaignResult:
                 table=ObservationTable(pools, **{
                     name: arrays[prefix + name] for name in ObservationTable._ARRAY_FIELDS
                 }),
-                direct_medians=medians(prefix + "direct", endpoint),
-                relay_medians=medians(prefix + "relay") if info["relay_medians"] else None,
+                direct_medians=medians(prefix + "direct", len(pools.endpoint_ids)),
+                relay_medians=(
+                    medians(prefix + "relay", len(registry)) if info["relay_medians"] else None
+                ),
                 pings_sent=info["pings_sent"],
             ))
         return CampaignResult(

@@ -15,6 +15,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.table import ObservationTable
 from repro.core.types import RELAY_TYPE_ORDER, RelayType
 from repro.errors import AnalysisError
@@ -109,7 +111,7 @@ class RelayRegistry:
         """All relays of a type, in registration order."""
         return [r for r in self._records if r.relay_type is relay_type]
 
-    def absorb(self, other: RelayRegistry) -> "np.ndarray":
+    def absorb(self, other: RelayRegistry) -> np.ndarray:
         """Merge every record of ``other``; return the index mapping.
 
         The cross-world unification primitive: relay *identity* is
@@ -309,14 +311,44 @@ class PairObservation:
         return continent_of(self.e1_cc) != continent_of(self.e2_cc)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class MedianColumns:
+    """One round's medians as three parallel columns, in measurement order.
+
+    ``a`` is an endpoint's code in the round table's
+    ``pools.endpoint_ids``; ``b`` is the other endpoint's code (direct
+    medians: the pair ordered as its probe ids sort) or the relay's
+    registry index (relay medians); ``ms`` is the median RTT.  An ``(a,
+    b)`` key appears at most once per round.  These are the result file's
+    ``round<k>.{direct,relay}.{a,b,ms}`` members as they are.
+    """
+
+    a: np.ndarray  #: (medians,) int32 endpoint codes
+    b: np.ndarray  #: (medians,) int32 endpoint codes or registry indices
+    ms: np.ndarray  #: (medians,) float64 median RTTs
+
+    def __len__(self) -> int:
+        return len(self.ms)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MedianColumns):
+            return NotImplemented
+        return all(
+            np.array_equal(x, y)
+            for x, y in zip((self.a, self.b, self.ms), (other.a, other.b, other.ms))
+        )
+
+
 @dataclass(slots=True)
 class RoundResult:
     """Everything measured in one campaign round.
 
     The per-case data lives columnar in ``table``; ``observations`` is a
     lazily materialized (and cached) object view over it.
-    ``direct_medians`` / ``relay_medians`` keep the raw per-pair medians so
-    the temporal-stability analysis can compute per-pair CVs across rounds;
+    ``direct_medians`` (step 4's valid pairs, in the table's case order)
+    and ``relay_medians`` (every valid endpoint-relay leg, endpoint-major)
+    keep the raw medians as :class:`MedianColumns` so the
+    temporal-stability analysis can compute per-pair CVs across rounds;
     ``relay_medians`` may be None when the campaign is configured not to
     record them.
     """
@@ -326,8 +358,8 @@ class RoundResult:
     endpoint_ids: tuple[str, ...]
     relay_indices_by_type: dict[RelayType, tuple[int, ...]]
     table: ObservationTable
-    direct_medians: dict[tuple[str, str], float]
-    relay_medians: dict[tuple[str, int], float] | None
+    direct_medians: MedianColumns
+    relay_medians: MedianColumns | None
     pings_sent: int
 
     @property

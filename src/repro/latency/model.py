@@ -118,6 +118,15 @@ def _pair_unit_hash(a: str, b: str) -> float:
     return int.from_bytes(digest, "big") / 2**64
 
 
+def _digest_units(digests: bytes) -> np.ndarray:
+    """:func:`_pair_unit_hash`'s last step for concatenated 8-byte digests.
+
+    uint64 to float64 rounds half to even like Python's ``int / int``, and
+    dividing by 2**64 is exact, so the values are bit-identical.
+    """
+    return np.frombuffer(digests, ">u8").astype(np.float64) / 2.0**64
+
+
 @dataclass(frozen=True, slots=True)
 class PairGrid:
     """Deterministic pair terms for a (rows × cols) endpoint grid.
@@ -505,7 +514,10 @@ class LatencyModel:
         """(rows × cols) deterministic per-ordered-pair skew units.
 
         Warm pairs are one gather out of the memo matrix; NaN cells (first
-        visit of the ordered pair) are hashed scalar and written back.
+        visit of the ordered pair) are hashed and written back.  A row's
+        hash is fed ``"{row_id}|"`` once and copied per missing cell, which
+        then feeds the column id: the same bytes :func:`_pair_unit_hash`
+        hashes, so the same value.
         """
         code = self._skew_code
         rows = np.fromiter((code(a) for a in row_ids), np.intp, len(row_ids))
@@ -514,21 +526,16 @@ class LatencyModel:
         sub = memo[np.ix_(rows, cols)]
         miss_i, miss_j = np.nonzero(np.isnan(sub))
         if miss_i.size:
-            blake = hashlib.blake2b
-            from_bytes = int.from_bytes
-            fresh = np.asarray(
-                [
-                    from_bytes(
-                        blake(
-                            f"{row_ids[i]}|{col_ids[j]}".encode("utf-8"),
-                            digest_size=8,
-                        ).digest(),
-                        "big",
-                    )
-                    / 2**64
-                    for i, j in zip(miss_i.tolist(), miss_j.tolist())
-                ]
-            )
+            heads = [
+                hashlib.blake2b(f"{a}|".encode("utf-8"), digest_size=8) for a in row_ids
+            ]
+            tails = [b.encode("utf-8") for b in col_ids]
+            digests = []
+            for i, j in zip(miss_i.tolist(), miss_j.tolist()):
+                pair = heads[i].copy()
+                pair.update(tails[j])
+                digests.append(pair.digest())
+            fresh = _digest_units(b"".join(digests))
             memo[rows[miss_i], cols[miss_j]] = fresh
             sub[miss_i, miss_j] = fresh
         return sub

@@ -49,6 +49,7 @@ import numpy as np
 from repro import obs
 from repro.core.oracle import csr_top_k, rank_lane_entries
 from repro.core.results import RoundResult
+from repro.core.store import write_arrays
 from repro.core.table import NUM_RELAY_TYPES, Interner, ObservationTable
 from repro.core.types import RELAY_TYPE_ORDER, RelayType
 from repro.errors import (
@@ -608,12 +609,16 @@ class RelayDirectory:
 
     # -------------------------------------------------------------- snapshots
 
-    def save(self, file: str | IO[bytes]) -> None:
+    def save(self, file: str | os.PathLike | IO[bytes]) -> None:
         """Write the directory to a compact ``.npz`` snapshot.
 
         Deterministic: the same directory state always produces the same
         bytes (arrays are written in a fixed order and ``np.savez`` stamps
-        a constant timestamp), so snapshot equality is state equality.
+        a constant timestamp), so snapshot equality is state equality.  A
+        path is written atomically by :func:`~repro.core.store.write_arrays`,
+        to exactly that path: a failed write raises
+        :class:`~repro.errors.StoreError` naming it and leaves any previous
+        snapshot there intact.  A stream gets the same bytes.
         """
         arrays: dict[str, np.ndarray] = {
             "meta": np.asarray(
@@ -643,7 +648,10 @@ class RelayDirectory:
                 arrays[f"{prefix}_relay"] = relay
                 arrays[f"{prefix}_count"] = count
                 arrays[f"{prefix}_gain"] = gain
-        np.savez(file, **arrays)
+        if isinstance(file, (str, os.PathLike)):
+            write_arrays(file, arrays)
+        else:
+            np.savez(file, **arrays)
 
     @classmethod
     def load(cls, file: str | IO[bytes]) -> RelayDirectory:

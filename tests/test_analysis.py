@@ -12,7 +12,7 @@ from repro.analysis.ranking import TopRelayAnalysis
 from repro.analysis.stability import StabilityAnalysis, series_cvs
 from repro.analysis.symmetry import SymmetryAnalysis
 from repro.analysis.voip import VoipAnalysis
-from repro.core.results import CampaignResult, RelayRegistry
+from repro.core.results import CampaignResult, MedianColumns, RelayRegistry
 from repro.core.types import RELAY_TYPE_ORDER, RelayType
 from repro.errors import AnalysisError
 from repro.util.stats import coefficient_of_variation
@@ -222,7 +222,8 @@ class TestStabilityAnalysis:
         """Per-pair ``coefficient_of_variation``, pairs in first-seen order."""
         series = {}
         for per_round in medians:
-            for key, value in per_round.items():
+            keys = zip(per_round.a.tolist(), per_round.b.tolist())
+            for key, value in zip(keys, per_round.ms.tolist()):
                 series.setdefault(key, []).append(value)
         return [
             coefficient_of_variation(values)
@@ -243,20 +244,28 @@ class TestStabilityAnalysis:
             assert cvs and len(cvs) == len(expected)
             np.testing.assert_array_max_ulp(np.array(cvs), np.array(expected), maxulp=4)
 
+    @staticmethod
+    def _columns(medians: dict) -> MedianColumns:
+        keys = np.array(list(medians), np.int32).reshape(-1, 2)
+        return MedianColumns(keys[:, 0], keys[:, 1], np.array(list(medians.values())))
+
     def test_series_cvs_keys_seen_in_some_rounds(self):
         rounds = [
-            {"a": 10.0, "b": 20.0, "c": 30.0},
-            {"d": 41.0, "b": 22.5, "a": 11.0},
-            {"a": 12.5, "d": 40.0, "e": 7.0},
+            self._columns(medians)
+            for medians in (
+                {(0, 1): 10.0, (0, 2): 20.0, (1, 0): 30.0},
+                {(2, 7): 41.0, (0, 2): 22.5, (0, 1): 11.0},
+                {(0, 1): 12.5, (2, 7): 40.0, (7, 2): 7.0},
+            )
         ]
         for min_occurrences, kept in ((2, 3), (3, 1)):
             cvs = series_cvs(rounds, min_occurrences)
             expected = self._reference_cvs(rounds, min_occurrences)
             assert len(cvs) == kept
             np.testing.assert_array_max_ulp(np.array(cvs), np.array(expected), maxulp=4)
-        assert series_cvs([{}, {}], 2) == []
+        assert series_cvs([self._columns({}), self._columns({})], 2) == []
         with pytest.raises(AnalysisError, match="zero mean"):
-            series_cvs([{"a": 1.0}, {"a": -1.0}], 2)
+            series_cvs([self._columns({(3, 3): 1.0}), self._columns({(3, 3): -1.0})], 2)
 
     def test_without_relay_medians(self, small_campaign_result):
         result = CampaignResult(

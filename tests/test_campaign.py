@@ -112,10 +112,16 @@ class TestCampaignRun:
             assert registry.of_type(relay_type), f"no {relay_type} relays registered"
 
     def test_direct_medians_match_observations(self, small_campaign_result):
+        ids = small_campaign_result.table.pools.endpoint_ids.values
         for rnd in small_campaign_result.rounds:
-            for obs in rnd.observations:
+            medians = rnd.direct_medians
+            assert len(medians) == len(rnd.observations)
+            for obs, a, b, ms in zip(
+                rnd.observations, medians.a.tolist(), medians.b.tolist(), medians.ms.tolist()
+            ):
                 key = (min(obs.e1_id, obs.e2_id), max(obs.e1_id, obs.e2_id))
-                assert rnd.direct_medians[key] == obs.direct_rtt_ms
+                assert (ids[a], ids[b]) == key
+                assert ms == obs.direct_rtt_ms
 
     def test_relay_medians_recorded(self, small_campaign_result):
         for rnd in small_campaign_result.rounds:

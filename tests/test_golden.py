@@ -15,24 +15,33 @@ why in its commit message.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 from repro import CampaignConfig, MeasurementCampaign, build_world
+from repro.analysis.stability import StabilityAnalysis
 from repro.core.colo import ColoRelayPipeline
 from repro.core.io import load_result, save_result
 from repro.core.oracle import LaneHistory, evaluate_prediction
 from repro.core.types import RelayType
 from repro.core.worldcache import capture_arrays
 from repro.latency.model import Endpoint, LatencyModel
+from repro.scenarios.registry import get_scenario, scenario_with
 from repro.service import (
     LoadgenConfig,
     QueryStream,
     ShortcutService,
     country_rank_order,
     replay,
+)
+from repro.timeline.events import (
+    LinkDegradation,
+    ProbeChurn,
+    RelayOutage,
+    TimelineConfig,
 )
 from repro.topology.config import TopologyConfig
 from repro.topology.types import ASType
@@ -145,6 +154,54 @@ WORLD_STATE = {
     "full": "a7eedfa30fa4593660388e9f3d5d8612",
 }
 
+#: Per round of ``small_campaign_result``: the (count, digest) of its direct
+#: medians, then of its relay medians; see :func:`medians_digest`.  Recorded
+#: from the dict-keyed medians that the three code columns replaced, through
+#: the result file's ``round<k>.{direct,relay}.*`` members.
+SMALL_MEDIANS = [
+    ((91, "cf0a2c827a36e123c96bb232c1374aa2"), (2142, "bfa5928adaf6ee0b6b47bd23514159a6")),
+    ((91, "33dccf303abb732902385a3489e5402b"), (2170, "66019ad0f874d43cf8c415305bcb3bee")),
+    ((91, "d8b386584df56d9a599b096f31aec492"), (2128, "3324bd044548009287f7974c3e6bd758")),
+]
+#: (count, blake2b of the float64 bytes) of ``StabilityAnalysis.all_cvs()``
+#: on the small campaign, keyed by ``min_occurrences``.
+SMALL_CVS = {
+    2: (1784, "192c22488ee86179bc26f700a0976591"),
+    3: (518, "112e9553700816f0764999a97d527864"),
+}
+#: (table digest, pings sent, per-round medians as in ``SMALL_MEDIANS``) of
+#: the ``lossy`` preset at 16 countries with ``base_loss_prob=0.15``, seed 11,
+#: 3 rounds.  Its rounds have pairs whose direct median is valid only in
+#: step 2 (1/6/3 per round) and only in step 4 (7/3/3): the branches that
+#: baseline worlds never reach.
+LOSSY_CAMPAIGN = (
+    "9efac1b3d65221e6848023c861c9a243b9879035c4eb2362cfc4b5865126600e"
+    "a8be3d81ac1396414c63aca2ff3469ecf2a05118d79bce249a71080f8686f763",
+    41832,
+    [
+        ((90, "c2b2c5e5aa101f784968d6e937baa93e"), (2088, "c9afa8c2a1170562b17362490d334c5c")),
+        ((85, "87a3514c00c62a2bac693236c9a42e92"), (2113, "a191b610fb4280a85eb345307f59e475")),
+        ((88, "6d29ca95d949b6312714e96596d2887f"), (2064, "7112afad05ca71da690f176335002d0b")),
+    ],
+)
+#: The same for a 3-round campaign on the small world under
+#: ``TIMELINE_EVENTS``: dark relays, absent probes and degraded lanes.
+TIMELINE_CAMPAIGN = (
+    "35d864a26611a356f838d3ab4fb9a5218c71517ae761173985ebab2c25d78a51"
+    "357cdf0ff03e339980dbb13e9506bdb9537fb6b382a5274ea244048556f19f42",
+    26640,
+    [
+        ((91, "f186a4bf48cb183e04ef958765934fc1"), (2136, "b08e5306f38e36eb1027b83baf3b37d2")),
+        ((28, "f2b2df640b548608db703773f5e33f19"), (655, "a6354dcf458ae5c88bd8b5581ee4f472")),
+        ((36, "119b28fba0ed539b9bd1c2222ae64a4b"), (1332, "c21970a632a587c238cf06d446a5eef9")),
+    ],
+)
+TIMELINE_EVENTS = (
+    RelayOutage(start_round=1, end_round=2, fraction=0.5),
+    ProbeChurn(start_round=1, end_round=3, fraction=0.3),
+    LinkDegradation(start_round=0, end_round=2, num_pairs=3, loss_add=0.3, rtt_mult=1.5),
+)
+
 SMALL_CONFIG = WorldConfig(topology=TopologyConfig(country_limit=16))
 
 
@@ -159,6 +216,22 @@ def table_digest(table) -> str:
             value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode()
         )
     return digest.hexdigest()
+
+
+def medians_digest(medians) -> tuple[int, str]:
+    """(count, blake2b over the ``a``, ``b`` and ``ms`` dtypes and bytes)."""
+    digest = hashlib.blake2b(digest_size=16)
+    for column in (medians.a, medians.b, medians.ms):
+        digest.update(column.dtype.str.encode())
+        digest.update(np.ascontiguousarray(column).tobytes())
+    return len(medians), digest.hexdigest()
+
+
+def round_medians(result) -> list:
+    return [
+        (medians_digest(rnd.direct_medians), medians_digest(rnd.relay_medians))
+        for rnd in result.rounds
+    ]
 
 
 def lines_digest(lines) -> str:
@@ -188,6 +261,36 @@ class TestCampaignDigests:
         world = build_world(seed=5, config=config, use_world_cache=False)
         result = MeasurementCampaign(world, CampaignConfig(num_rounds=2)).run()
         assert (table_digest(result.table), result.total_pings) == SEED5_CAMPAIGN
+
+    def test_small_campaign_medians(self, small_campaign_result, tmp_path):
+        assert round_medians(small_campaign_result) == SMALL_MEDIANS
+        path = tmp_path / "result.npz"
+        save_result(small_campaign_result, path)
+        assert round_medians(load_result(path)) == SMALL_MEDIANS
+
+    @pytest.mark.parametrize("min_occurrences", [2, 3])
+    def test_small_campaign_cvs(self, small_campaign_result, min_occurrences):
+        cvs = StabilityAnalysis(small_campaign_result, min_occurrences).all_cvs()
+        digest = hashlib.blake2b(np.asarray(cvs, np.float64).tobytes(), digest_size=16)
+        assert (len(cvs), digest.hexdigest()) == SMALL_CVS[min_occurrences]
+
+    def test_lossy_campaign(self):
+        lossy = scenario_with(get_scenario("lossy"), countries=16, rounds=3)
+        latency = dataclasses.replace(lossy.world.latency, base_loss_prob=0.15)
+        world = build_world(
+            seed=11,
+            config=dataclasses.replace(lossy.world, latency=latency),
+            use_world_cache=False,
+        )
+        result = MeasurementCampaign(world, lossy.campaign).run()
+        got = (table_digest(result.table), result.total_pings, round_medians(result))
+        assert got == LOSSY_CAMPAIGN
+
+    def test_timeline_campaign(self, small_world):
+        config = CampaignConfig(num_rounds=3, timeline=TimelineConfig(TIMELINE_EVENTS))
+        result = MeasurementCampaign(small_world, config).run()
+        got = (table_digest(result.table), result.total_pings, round_medians(result))
+        assert got == TIMELINE_CAMPAIGN
 
     @pytest.mark.parametrize("fabric", [False, True], ids=["no-fabric", "fabric"])
     def test_direction_symmetry(self, fabric):

@@ -16,7 +16,7 @@ from repro.core import store
 from repro.core.campaign import MeasurementCampaign
 from repro.core.config import CampaignConfig
 from repro.core.io import FORMAT_VERSION, load_result, save_result
-from repro.core.results import CampaignResult
+from repro.core.results import CampaignResult, MedianColumns
 from repro.core.table import ObservationTable
 from repro.core.types import RELAY_TYPE_ORDER
 from repro.errors import StoreError
@@ -26,6 +26,9 @@ TABLE_FIELDS = (
     "direct_rtt_ms", "best_relay", "best_stitched", "feasible",
     "country_flags", "imp_indptr", "imp_relay", "imp_gain",
 )
+
+
+NO_MEDIANS = MedianColumns(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))
 
 
 @pytest.fixture(scope="module")
@@ -53,12 +56,12 @@ def _assert_same_result(restored: CampaignResult, original: CampaignResult) -> N
         assert got.endpoint_ids == want.endpoint_ids
         assert got.relay_indices_by_type == want.relay_indices_by_type
         assert got.pings_sent == want.pings_sent
-        # insertion order included, not only the mapping
-        assert list(got.direct_medians.items()) == list(want.direct_medians.items())
+        # measurement order included, not only the keys
+        assert got.direct_medians == want.direct_medians
         if want.relay_medians is None:
             assert got.relay_medians is None
         else:
-            assert list(got.relay_medians.items()) == list(want.relay_medians.items())
+            assert got.relay_medians == want.relay_medians
         for name in TABLE_FIELDS:
             a, b = getattr(got.table, name), getattr(want.table, name)
             assert a.dtype == b.dtype and a.shape == b.shape, name
@@ -81,10 +84,16 @@ class TestRoundTrip:
     def test_roundtrip_preserves_medians(self, small_campaign_result, saved):
         loaded = load_result(saved)
         for original, restored in zip(small_campaign_result.rounds, loaded.rounds):
-            assert list(restored.direct_medians) == list(original.direct_medians)
-            assert restored.direct_medians == original.direct_medians
-            assert list(restored.relay_medians) == list(original.relay_medians)
-            assert restored.relay_medians == original.relay_medians
+            for want, got in (
+                (original.direct_medians, restored.direct_medians),
+                (original.relay_medians, restored.relay_medians),
+            ):
+                assert len(got) == len(want) > 0
+                assert got == want
+                for name in ("a", "b", "ms"):
+                    column = getattr(got, name)
+                    assert column.dtype == getattr(want, name).dtype
+                    assert isinstance(column.base, mmap.mmap)
 
     def test_registry_roundtrip(self, small_campaign_result, saved):
         loaded = load_result(saved)
@@ -113,8 +122,8 @@ class TestRoundTrip:
             round_index=1,
             timestamp_hours=1.5,
             table=ObservationTable.empty(first.table.pools),
-            direct_medians={},
-            relay_medians={},
+            direct_medians=NO_MEDIANS,
+            relay_medians=NO_MEDIANS,
             pings_sent=0,
         )
         result = CampaignResult(
@@ -174,6 +183,12 @@ class TestBytes:
         path = tmp_path / "no" / "such" / "r.npz"
         with pytest.raises(StoreError, match=re.escape(str(path))):
             save_result(load_result(saved), path)
+
+
+def _first_set_to(column: np.ndarray, value: int) -> np.ndarray:
+    column = column.copy()
+    column[0] = value
+    return column
 
 
 def _rewrite_meta(src, dst, **changes) -> None:
@@ -239,6 +254,38 @@ class TestErrorHandling:
         store.write_arrays(path, {"x": np.arange(3)})
         with pytest.raises(StoreError, match="not a campaign result"):
             load_result(path)
+
+    @pytest.mark.parametrize(
+        "member, defect",
+        [
+            pytest.param("round1.direct.b", lambda b, _: b[:-1], id="direct-lengths-differ"),
+            pytest.param("round0.relay.ms", lambda ms, _: ms[1:], id="relay-lengths-differ"),
+            pytest.param(
+                "round2.direct.a",
+                lambda a, arrays: _first_set_to(a, arrays["pool.endpoint_ids"].size),
+                id="endpoint-code-past-pool",
+            ),
+            pytest.param(
+                "round0.relay.a",
+                lambda a, _: _first_set_to(a, -1),
+                id="negative-endpoint-code",
+            ),
+            pytest.param(
+                "round1.relay.b",
+                lambda b, arrays: _first_set_to(b, arrays["relay.node_ids"].size),
+                id="relay-index-past-registry",
+            ),
+        ],
+    )
+    def test_defective_median_columns(self, saved, tmp_path, member, defect):
+        arrays = {name: np.array(a) for name, a in store.read_arrays(saved).items()}
+        arrays[member] = defect(arrays[member], arrays)
+        path = tmp_path / "result.json"
+        store.write_arrays(path, arrays)
+        with pytest.raises(StoreError, match=re.escape(str(path))) as info:
+            load_result(path)
+        assert info.value.path == path
+        assert member.rsplit(".", 1)[0] in str(info.value)
 
     def test_missing_member(self, saved, tmp_path):
         arrays = dict(store.read_arrays(saved))

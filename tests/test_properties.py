@@ -4,24 +4,32 @@ These complement the per-module suites with randomized checks of the
 relationships the whole methodology rests on: geometry bounds latency,
 stitching can only violate *routed* triangle inequalities, funnels only
 shrink, the feasibility bound is sound by construction, the shared
-lane-ranking kernel ranks exactly as the two-key lexsort it replaced, and
+lane-ranking kernel ranks exactly as the two-key lexsort it replaced,
 the routing fabric's bulk kernels (valley-free tables, hop tables, grid
-walk) agree with the scalar references they replace.
+walk) agree with the scalar references they replace, the stability CVs
+over median columns equal the dict-keyed CVs they replaced, and the
+batched skew hash equals the per-pair one.
 """
 
 from __future__ import annotations
+
+import itertools
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.stability import series_cvs
 from repro.core.feasibility import is_feasible
 from repro.core.oracle import rank_lane_entries
 from repro.core.stitching import improvement_ms, is_tiv, stitch_rtt
-from repro.errors import RoutingError
+from repro.core.results import MedianColumns
+from repro.errors import AnalysisError, RoutingError
+from repro.latency import model as latency_model
 from repro.geo.cities import all_cities
 from repro.geo.distance import min_rtt_ms, propagation_delay_ms
-from repro.latency.model import Endpoint
+from repro.latency.model import Endpoint, LatencyModel
 from repro.net.ipv4 import IPv4Prefix
 from repro.routing.bgp import BGPRouting
 from repro.routing.fabric import RoutingFabric
@@ -325,3 +333,102 @@ class TestFabricKernels:
         # the untouched tables walk fine over the same attachments
         grid, _ = fabric.build_attachment_grid(walker, attachments, 0.5)
         assert np.isfinite(grid).all()
+
+
+def _dict_series_cvs(rounds: Sequence[Mapping], min_occurrences: int) -> list[float]:
+    """The dict-keyed ``series_cvs`` the median columns replaced, kept as its
+    reference: one ``{key: value}`` mapping per round."""
+    chain = itertools.chain.from_iterable
+    size = sum(map(len, rounds))
+    # a key's code is the number of distinct keys seen before it first appears
+    index: dict = {}
+    codes = np.fromiter(
+        map(index.setdefault, chain(rounds), map(len, itertools.repeat(index))), np.intp, size
+    )
+    values = np.fromiter(chain(r.values() for r in rounds), np.float64, size)
+    counts = np.bincount(codes, minlength=len(index))
+    starts = np.cumsum(counts) - counts
+    keep = counts >= min_occurrences
+    counts, starts = counts[keep], starts[keep]
+    # one row per kept key: its values in round order, zero-padded
+    grouped = values[np.argsort(codes, kind="stable")]
+    live = np.arange(counts.max(initial=0)) < counts[:, None]
+    offsets = np.where(live, starts[:, None] + np.arange(live.shape[1]), 0)
+    rows = np.where(live, grouped[offsets], 0.0)
+
+    def row_sums(matrix: np.ndarray) -> np.ndarray:
+        total = np.zeros(len(matrix))
+        for column in matrix.T:
+            total += column
+        return total
+
+    mean = row_sums(rows) / counts
+    if np.any(mean == 0.0):
+        raise AnalysisError("coefficient_of_variation() undefined for zero mean")
+    squares = np.where(live, np.float_power(rows - mean[:, None], 2.0), 0.0)
+    return (np.sqrt(row_sums(squares) / counts) / np.abs(mean)).tolist()
+
+
+@st.composite
+def _median_rounds(draw):
+    """0-5 rounds, each a distinct subset of a few ``(a, b)`` keys up to
+    2**31 - 1 in drawn order, valued so that zero means occur."""
+    pool = draw(
+        st.lists(
+            st.tuples(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1)),
+            min_size=1, max_size=6, unique=True,
+        )
+    )
+    value = st.sampled_from([0.0, 1.0, -1.0, 2.5]) | st.floats(-1e3, 1e3, allow_nan=False)
+    rounds = []
+    for _ in range(draw(st.integers(0, 5))):
+        keys = draw(st.lists(st.sampled_from(pool), unique=True))
+        rounds.append({key: draw(value) for key in keys})
+    return rounds
+
+
+def _as_columns(medians: dict) -> MedianColumns:
+    keys = np.array(list(medians), np.int32).reshape(-1, 2)
+    return MedianColumns(keys[:, 0], keys[:, 1], np.array(list(medians.values())))
+
+
+class TestMedianColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(_median_rounds(), st.integers(2, 4))
+    def test_series_cvs_equals_dict_reference(self, rounds, min_occurrences):
+        columns = [_as_columns(medians) for medians in rounds]
+        try:
+            want = _dict_series_cvs(rounds, min_occurrences)
+        except AnalysisError:
+            with pytest.raises(AnalysisError, match="zero mean"):
+                series_cvs(columns, min_occurrences)
+            return
+        got = series_cvs(columns, min_occurrences)
+        # bit for bit and in first-appearance order
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.text(max_size=12), max_size=6),
+        st.lists(st.text(alphabet="ab|\u00e9\u4e2d\U0001f600", max_size=6), max_size=6),
+    )
+    def test_skew_grid_equals_pair_hash(self, row_ids, col_ids):
+        model = LatencyModel(None, None)
+        want = [
+            [latency_model._pair_unit_hash(a, b) for b in col_ids] for a in row_ids
+        ]
+        for _ in range(2):  # cold cells are hashed, warm ones gathered
+            grid = model._skew_grid(row_ids, col_ids)
+            assert grid.shape == (len(row_ids), len(col_ids))
+            assert grid.tolist() == want
+
+    @pytest.mark.parametrize(
+        "value", [0, 1, 2**53 + 1, 2**63 + 2**10, 2**64 - 1],
+        ids=["zero", "one", "2^53+1", "tie-2^63+2^10", "max"],
+    )
+    def test_digest_units_round_like_int_division(self, value):
+        digest = value.to_bytes(8, "big")
+        got = latency_model._digest_units(digest * 2)
+        want = int.from_bytes(digest, "big") / 2**64
+        assert got.tolist() == [want, want]
+        assert got[0].hex() == want.hex()

@@ -11,7 +11,10 @@ exactly what ``Generator.choice`` would.
 
 from __future__ import annotations
 
+import errno
 import io
+import os
+import re
 
 import numpy as np
 import pytest
@@ -443,6 +446,32 @@ class TestSnapshot:
             ShortcutService.load(str(path))
         assert info.value.path == str(path)
         assert str(path) in str(info.value)
+
+    def test_failed_write_keeps_previous_snapshot(self, service, tmp_path, monkeypatch):
+        path = tmp_path / "snapshot.npz"
+        service.save(str(path))
+        before = path.read_bytes()
+        assert before == _snapshot_bytes(service)
+        savez = np.savez
+
+        def disk_full(file, **arrays):
+            """Write half the archive, then fail like a full disk."""
+            buffer = io.BytesIO()
+            savez(buffer, **arrays)
+            half = buffer.getvalue()[: len(buffer.getvalue()) // 2]
+            if isinstance(file, (str, os.PathLike)):
+                with open(file, "wb") as fh:
+                    fh.write(half)
+            else:
+                file.write(half)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(np, "savez", disk_full)
+        with pytest.raises(StoreError, match=re.escape(str(path))) as info:
+            service.save(str(path))
+        assert info.value.path == path
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["snapshot.npz"]
 
     def test_store_error_names_the_stream(self, tmp_path):
         path = tmp_path / "empty.npz"
