@@ -19,15 +19,25 @@ The hot path is vectorized end to end.  Each round builds its
 :class:`~repro.latency.model.PairGrid` once; every measurement step gathers
 its legs' deterministic terms from a grid by index and samples them in one
 :meth:`PingEngine.median_from_entries` call (per-packet terms drawn in a
-handful of RNG calls).  Step 3's Sec 2.4 bound is evaluated for all
-(pair, relay) combinations at once as a NumPy broadcast over the round's
-(endpoints × relays) delay matrix from the world's
-:class:`~repro.geo.matrix.CityDelayMatrix`, and the resulting boolean mask
-flows matrix-shaped through leg selection, overlay stitching and straight
-into the round's columnar :class:`~repro.core.table.ObservationTable` — no
-Python-level per-(pair, relay) loop survives anywhere between feasibility
-and the stored result, and no per-pair observation objects are built
-unless a caller materializes them.
+handful of RNG calls).  The (pairs × relays) work runs in endpoint blocks:
+``np.triu_indices`` lists endpoint i's pairs as one contiguous block of
+rows, so a block's Sec 2.4 detours are ``D[i + 1:] + D[i]`` over the
+round's (endpoints × relays) delay matrix from the world's
+:class:`~repro.geo.matrix.CityDelayMatrix`
+(:func:`~repro.core.feasibility.feasibility_mask`) and its stitched RTTs
+are ``legs[i + 1:] + legs[i]`` — no pair-sized gather, and IEEE addition
+commutes, so every sum has the bits of the pair-ordered one.  Leg selection
+ORs each block into its endpoint's row and its partners' rows, under the
+``campaign.measure_legs`` span.  Stitching fills a (cases × relays) matrix
+whose unusable detours hold +inf, so a relay type's best relay is a plain
+argmin and a relay improves a case when its sum is below the direct
+median; the reductions land straight in the round's columnar
+:class:`~repro.core.table.ObservationTable`.  That float matrix is the
+round's one large temporary.  (Keeping it in one buffer across rounds
+saved page faults but no measurable wall time, and held it through the
+rest of the run.)  No Python-level per-(pair, relay) loop runs anywhere
+between feasibility and the stored result, and no per-pair observation
+objects are built unless a caller materializes them.
 
 Routing is precomputed rather than faulted in: before the first round the
 campaign asks the world to build its :class:`~repro.routing.fabric
@@ -38,6 +48,7 @@ scalar table computation mid-measurement.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -253,19 +264,12 @@ class MeasurementCampaign:
                 round_index, rng, set(probe_ids), absent
             )
         with self._sp_feasibility:
-            feasible = self._feasible_relays(endpoints, relay_arrays, pairs, step2)
+            feasible = self._feasible_relays(endpoints, relay_arrays, step2)
 
-        # step 4: synced re-measurement + legs + stitching.  A leg is
-        # needed when a pair with a valid step-4 median finds the relay
-        # feasible: both of the pair's endpoint rows get it
+        # step 4: synced re-measurement + legs + stitching
         with self._sp_direct:
             step4, sent = self._measure_direct(rng, egrid, pair_idx)
         pings_sent += sent
-        cases = ~np.isnan(step4)
-        kept, cols = np.nonzero(feasible[cases])
-        needed = np.zeros((len(endpoints), relay_arrays.count), dtype=bool)
-        needed[pairs[0][cases][kept], cols] = True
-        needed[pairs[1][cases][kept], cols] = True
         with self._sp_pair_grid:
             rgrid = self._world.latency.pair_grid(
                 endpoint_eps, [ep for _, ep in relay_arrays.items]
@@ -276,8 +280,12 @@ class MeasurementCampaign:
                     rgrid, endpoint_ccs, relay_arrays.ccs, round_index
                 )
         with self._sp_legs:
-            leg_matrix, leg_medians, sent = self._measure_legs(
-                ep_ids, needed, relay_arrays, rng, rgrid
+            legs, leg_medians, sent = self._measure_legs(
+                ep_ids,
+                _needed_legs(feasible, step4, len(endpoints)),
+                relay_arrays,
+                rng,
+                rgrid,
             )
         pings_sent += sent
 
@@ -290,7 +298,7 @@ class MeasurementCampaign:
                 step4,
                 feasible,
                 relay_arrays,
-                leg_matrix,
+                legs,
             )
 
         return RoundResult(
@@ -359,10 +367,9 @@ class MeasurementCampaign:
         self,
         endpoints: list[AtlasProbe],
         relays: _RelayArrays,
-        pairs: tuple[np.ndarray, np.ndarray],
         direct_ms: np.ndarray,
     ) -> np.ndarray:
-        """Sec 2.4 filter for the whole round: one (pairs × relays) broadcast.
+        """Sec 2.4 filter for the whole round as a (pairs × relays) mask.
 
         Builds the round's (endpoints × relays) one-way delay matrix once
         and evaluates ``2 * (D[e1, r] + D[r, e2]) <= RTT(e1, e2)`` for every
@@ -374,7 +381,7 @@ class MeasurementCampaign:
         matrix = self._world.delay_matrix
         endpoint_cities = matrix.indices(p.node.endpoint.city_key for p in endpoints)
         one_way = matrix.one_way_ms_matrix(endpoint_cities, relays.city_idx)
-        return feasibility_mask(one_way, pairs[0], pairs[1], direct_ms)
+        return feasibility_mask(one_way, direct_ms)
 
     def _assemble_relays(
         self,
@@ -485,26 +492,28 @@ class MeasurementCampaign:
     ) -> tuple[np.ndarray, MedianColumns | None, int]:
         """Median RTT for every needed (endpoint, relay) leg.
 
-        Returns the (endpoints × relays) leg-median matrix (NaN where a leg
-        was not measured or had too few replies), the valid medians as
-        (endpoint code, registry index, ms) columns for the round record
-        (None — not built at all — when the config says not to record
-        them), and pings sent.  The needed legs' terms are gathered
-        straight off the round's (endpoints × relays) grid.
+        Returns the (endpoints × relays) leg-median matrix (+inf where a
+        leg was not measured or had too few replies, so a stitched sum
+        over it is +inf exactly when the detour is unusable), the valid
+        medians as (endpoint code, registry index, ms) columns for the
+        round record (None — not built at all — when the config says not
+        to record them), and pings sent.  The needed legs' terms are
+        gathered straight off the round's (endpoints × relays) grid.
         """
         e_rows, cols = np.nonzero(needed)
         medians, sent = self._charged_medians(grid, e_rows, cols, rng)
-        leg_matrix = np.full(needed.shape, np.nan)
-        leg_matrix[e_rows, cols] = medians
-        if not self._cfg.record_relay_medians:
-            return leg_matrix, None, sent
         valid = ~np.isnan(medians)
+        e_rows, cols, medians = e_rows[valid], cols[valid], medians[valid]
+        legs = np.full(needed.shape, np.inf)
+        legs[e_rows, cols] = medians
+        if not self._cfg.record_relay_medians:
+            return legs, None, sent
         leg_medians = MedianColumns(
-            ep_ids[e_rows[valid]],
-            relays.registry_idx[cols[valid]].astype(np.int32),
-            medians[valid],
+            ep_ids[e_rows],
+            relays.registry_idx[cols].astype(np.int32),
+            medians,
         )
-        return leg_matrix, leg_medians, sent
+        return legs, leg_medians, sent
 
     def _stitch_table(
         self,
@@ -515,18 +524,15 @@ class MeasurementCampaign:
         direct: np.ndarray,
         feasible: np.ndarray,
         relays: _RelayArrays,
-        leg_matrix: np.ndarray,
+        legs: np.ndarray,
     ) -> ObservationTable:
         """Assemble the round's columnar observation table from its matrices.
 
         ``direct`` holds step 4's median per round pair (NaN = invalid); a
         pair with a valid one is a case, stitched over the relays step 3
-        found ``feasible`` for it.  All per-(pair, relay) arithmetic —
-        stitching, improvement, best-relay selection, same-country grouping
-        — happens as broadcasts, and the results land directly in
-        :class:`ObservationTable` columns.  The only Python iteration
-        interns the round's endpoint countries and cities — once per
-        *endpoint*, fanned out to pairs by index gathers.
+        found ``feasible`` for it (see :func:`_stitch_columns`).  The only
+        Python iteration interns the round's endpoint countries and cities
+        — once per *endpoint*, fanned out to cases by index gathers.
         """
         pools = self._pools
         ep_cc = pools.countries.codes(p.cc for p in endpoints)
@@ -534,78 +540,20 @@ class MeasurementCampaign:
         ep_cmp = np.fromiter(
             (self._cc_cmp_code(p.cc) for p in endpoints), np.intp, len(endpoints)
         )
-
         # one row per case, in pair order
-        cases = ~np.isnan(direct)
-        num_types = len(RELAY_TYPE_ORDER)
-        e1_rows = pairs[0][cases]
-        e2_rows = pairs[1][cases]
-        mask = feasible[cases]
-        direct_ms = direct[cases]
-        n_obs = len(direct_ms)
-
-        # (pairs × relays) stitched overlay RTTs and derived masks
-        stitched = leg_matrix[e1_rows] + leg_matrix[e2_rows]
-        usable = mask & ~np.isnan(stitched)
-        improving = usable & (stitched < direct_ms[:, np.newaxis])
-        # country comparison on the campaign's interned int codes:
-        # elementwise U3 string equality over a (pairs × relays) broadcast
-        # is far slower than int equality, and re-deriving codes per round
-        # (np.unique over all the round's strings) costs more than the
-        # comparison itself
-        relay_cc = relays.cc_codes
-        cc1 = ep_cmp[e1_rows]
-        cc2 = ep_cmp[e2_rows]
-        same_country = (relay_cc[np.newaxis, :] == cc1[:, np.newaxis]) | (
-            relay_cc[np.newaxis, :] == cc2[:, np.newaxis]
+        case_rows = np.flatnonzero(~np.isnan(direct))
+        e1_rows = pairs[0][case_rows]
+        e2_rows = pairs[1][case_rows]
+        n_obs = len(case_rows)
+        columns = _stitch_columns(
+            case_rows,
+            direct,
+            feasible,
+            legs,
+            ep_cmp,
+            relays,
+            np.empty((n_obs, relays.count)),
         )
-        diff_country = ~same_country
-
-        # per relay-type reductions, each (pairs,).  _assemble_relays adds
-        # relays in RELAY_TYPE_ORDER, so a type's columns are one contiguous
-        # slice — every reduction below works on a view instead of paying a
-        # full-width masked pass per type.
-        type_bounds = np.searchsorted(
-            relays.type_codes, np.arange(num_types + 1)
-        ).tolist()
-        feasible_counts = np.zeros((num_types, n_obs), dtype=np.int32)
-        best_cols = np.zeros((num_types, n_obs), dtype=np.intp)
-        best_vals = np.full((num_types, n_obs), np.inf)
-        flags = np.zeros((num_types, 4, n_obs), dtype=bool)
-        arange = np.arange(n_obs)
-        for code in range(num_types if relays.count else 0):
-            lo, hi = type_bounds[code], type_bounds[code + 1]
-            if lo == hi:
-                continue  # no relays of the type: zeros / inf defaults hold
-            usable_t = usable[:, lo:hi]
-            improving_t = improving[:, lo:hi]
-            same_t = same_country[:, lo:hi]
-            diff_t = diff_country[:, lo:hi]
-            feasible_counts[code] = np.count_nonzero(mask[:, lo:hi], axis=1)
-            # (usable_same, improving_same, usable_diff, improving_diff)
-            flags[code, 0] = np.any(usable_t & same_t, axis=1)
-            flags[code, 1] = np.any(improving_t & same_t, axis=1)
-            flags[code, 2] = np.any(usable_t & diff_t, axis=1)
-            flags[code, 3] = np.any(improving_t & diff_t, axis=1)
-            candidates = np.where(usable_t, stitched[:, lo:hi], np.inf)
-            cols = np.argmin(candidates, axis=1)
-            best_cols[code] = cols + lo
-            best_vals[code] = candidates[arange, cols]
-
-        # improving (relay, gain) entries: np.nonzero walks row-major and
-        # type columns are contiguous, so entries arrive grouped by
-        # (pair, type) — exactly the CSR group order the table stores
-        imp_pair, imp_col = np.nonzero(improving)
-        imp_reg = relays.registry_idx[imp_col].astype(np.int32)
-        imp_gain = direct_ms[imp_pair] - stitched[imp_pair, imp_col]
-        imp_group = imp_pair * num_types + relays.type_codes[imp_col]
-        indptr = np.zeros(n_obs * num_types + 1, np.int64)
-        np.cumsum(np.bincount(imp_group, minlength=n_obs * num_types), out=indptr[1:])
-
-        usable_best = best_vals != np.inf
-        best_relay_col = np.full((num_types, n_obs), -1, np.int32)
-        best_relay_col[usable_best] = relays.registry_idx[best_cols[usable_best]]
-
         # endpoint identity columns: a gather per pair side out of the
         # per-endpoint codes
         return ObservationTable(
@@ -617,14 +565,7 @@ class MeasurementCampaign:
             e2_cc=ep_cc[e2_rows],
             e1_city=ep_city[e1_rows],
             e2_city=ep_city[e2_rows],
-            direct_rtt_ms=direct_ms,
-            best_relay=best_relay_col,
-            best_stitched=np.where(usable_best, best_vals, np.nan),
-            feasible=feasible_counts,
-            country_flags=flags,
-            imp_indptr=indptr,
-            imp_relay=imp_reg,
-            imp_gain=imp_gain,
+            **columns,
         )
 
     def _indices_by_type(self, relays: _RelayArrays) -> dict[RelayType, tuple[int, ...]]:
@@ -666,3 +607,137 @@ class MeasurementCampaign:
             for fwd, rev in zip(medians[0::2], medians[1::2])
             if fwd == fwd and rev == rev
         ]
+
+
+# ------------------------------------------------ pair blocks (see module doc)
+
+
+def _block_starts(num_endpoints: int) -> list[int]:
+    """Row offsets of the endpoints' pair blocks: endpoint i's pairs are
+    rows ``starts[i]:starts[i + 1]`` of the round's pair order."""
+    return [0, *itertools.accumulate(range(num_endpoints - 1, -1, -1))]
+
+
+def _needed_legs(feasible: np.ndarray, direct: np.ndarray, num_endpoints: int) -> np.ndarray:
+    """The (endpoints × relays) legs step 4 measures.
+
+    A leg is needed when a case (a pair with a valid step-4 median in
+    ``direct``) finds the relay feasible: both of the pair's endpoints
+    get it.  Each endpoint block ORs into its own row and, row for row,
+    into the rows of its partners.
+    """
+    cases = ~np.isnan(direct)
+    if not cases.all():
+        feasible = feasible & cases[:, np.newaxis]
+    starts = _block_starts(num_endpoints)
+    needed = np.zeros((num_endpoints, feasible.shape[1]), dtype=bool)
+    for i in range(num_endpoints - 1):
+        block = feasible[starts[i] : starts[i + 1]]
+        needed[i] |= block.any(axis=0)
+        needed[i + 1 :] |= block
+    return needed
+
+
+def _stitch_columns(
+    case_rows: np.ndarray,
+    direct: np.ndarray,
+    feasible: np.ndarray,
+    legs: np.ndarray,
+    endpoint_cc: np.ndarray,
+    relays: _RelayArrays,
+    stitched: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """The round table's measurement columns, one row per case.
+
+    ``case_rows`` are the pairs with a valid step-4 median in ``direct``,
+    ``legs`` the (endpoints × relays) leg medians with +inf for a missing
+    leg, ``endpoint_cc`` the endpoints' campaign-interned country codes,
+    and ``stitched`` a (cases × relays) array the overlay RTTs are built
+    in (its contents are overwritten).
+
+    Each endpoint block's cases are stitched in place: +inf first, then
+    ``legs[j] + legs[i]`` on the relays the pair found feasible.  An
+    unusable detour therefore holds +inf, a relay type's best relay is a
+    plain argmin over its column slice, and a relay improves a case when
+    its stitched RTT is below the (finite) direct one.
+    """
+    n_obs, num_relays = stitched.shape
+    num_types = len(RELAY_TYPE_ORDER)
+    direct_ms = direct[case_rows]
+    starts = _block_starts(len(endpoint_cc))
+    if n_obs == len(direct):  # every pair is a case
+        bounds, mask = starts, feasible
+    else:
+        bounds = np.searchsorted(case_rows, starts).tolist()
+        mask = feasible[case_rows]
+    # country comparison on the campaign's interned int codes: a relay is
+    # same-country for a pair when it shares either endpoint's country
+    same_ep = endpoint_cc[:, np.newaxis] == relays.cc_codes[np.newaxis, :]
+    same_country = np.empty((n_obs, num_relays), dtype=bool)
+    for i in range(len(endpoint_cc) - 1):
+        lo, hi = bounds[i], bounds[i + 1]
+        if lo == hi:
+            continue
+        if hi - lo == starts[i + 1] - starts[i]:
+            partners: slice | np.ndarray = slice(i + 1, None)
+        else:  # the block's cases only: pair row p is partner p - starts[i] + i + 1
+            partners = case_rows[lo:hi] - (starts[i] - i - 1)
+        block = stitched[lo:hi]
+        block.fill(np.inf)
+        np.add(legs[partners], legs[i], out=block, where=mask[lo:hi])
+        np.logical_or(same_ep[partners], same_ep[i], out=same_country[lo:hi])
+    usable = stitched < np.inf
+    improving = stitched < direct_ms[:, np.newaxis]
+    diff_country = ~same_country
+
+    # per relay-type reductions, each (cases,).  _assemble_relays adds
+    # relays in RELAY_TYPE_ORDER, so a type's columns are one contiguous
+    # slice — every reduction below works on a view instead of paying a
+    # full-width masked pass per type.
+    type_bounds = np.searchsorted(relays.type_codes, np.arange(num_types + 1)).tolist()
+    feasible_counts = np.zeros((num_types, n_obs), dtype=np.int32)
+    best_cols = np.zeros((num_types, n_obs), dtype=np.intp)
+    best_vals = np.full((num_types, n_obs), np.inf)
+    flags = np.zeros((num_types, 4, n_obs), dtype=bool)
+    arange = np.arange(n_obs)
+    for code in range(num_types):
+        lo, hi = type_bounds[code], type_bounds[code + 1]
+        if lo == hi:
+            continue  # no relays of the type: zeros / inf defaults hold
+        usable_t = usable[:, lo:hi]
+        improving_t = improving[:, lo:hi]
+        same_t = same_country[:, lo:hi]
+        diff_t = diff_country[:, lo:hi]
+        feasible_counts[code] = np.count_nonzero(mask[:, lo:hi], axis=1)
+        # (usable_same, improving_same, usable_diff, improving_diff)
+        flags[code, 0] = np.any(usable_t & same_t, axis=1)
+        flags[code, 1] = np.any(improving_t & same_t, axis=1)
+        flags[code, 2] = np.any(usable_t & diff_t, axis=1)
+        flags[code, 3] = np.any(improving_t & diff_t, axis=1)
+        cols = np.argmin(stitched[:, lo:hi], axis=1)
+        best_cols[code] = cols + lo
+        best_vals[code] = stitched[arange, best_cols[code]]
+
+    # improving (relay, gain) entries in row-major order: type columns are
+    # contiguous, so entries arrive grouped by (case, type) — exactly the
+    # CSR group order the table stores
+    flat = np.flatnonzero(improving)
+    imp_pair, imp_col = np.divmod(flat, num_relays)
+    imp_gain = direct_ms[imp_pair] - stitched.take(flat)
+    imp_group = imp_pair * num_types + relays.type_codes[imp_col]
+    indptr = np.zeros(n_obs * num_types + 1, np.int64)
+    np.cumsum(np.bincount(imp_group, minlength=n_obs * num_types), out=indptr[1:])
+
+    usable_best = best_vals != np.inf
+    best_relay = np.full((num_types, n_obs), -1, np.int32)
+    best_relay[usable_best] = relays.registry_idx[best_cols[usable_best]]
+    return {
+        "direct_rtt_ms": direct_ms,
+        "best_relay": best_relay,
+        "best_stitched": np.where(usable_best, best_vals, np.nan),
+        "feasible": feasible_counts,
+        "country_flags": flags,
+        "imp_indptr": indptr,
+        "imp_relay": relays.registry_idx[imp_col].astype(np.int32),
+        "imp_gain": imp_gain,
+    }

@@ -65,28 +65,44 @@ def feasible_relays(
     return [r for r in relays if is_feasible(r, n1, n2, direct_rtt_ms, matrix)]
 
 
-def feasibility_mask(
-    one_way_ms: np.ndarray,
-    e1_rows: np.ndarray,
-    e2_rows: np.ndarray,
-    direct_rtt_ms: np.ndarray,
-) -> np.ndarray:
-    """The Sec 2.4 bound for every (pair, relay) at once, as one broadcast.
+def feasibility_mask(one_way_ms: np.ndarray, direct_rtt_ms: np.ndarray) -> np.ndarray:
+    """The Sec 2.4 bound for every (pair, relay) of a round.
 
     Args:
         one_way_ms: ``(endpoints × relays)`` one-way delay matrix ``D`` from
             :meth:`CityDelayMatrix.one_way_ms_matrix`.
-        e1_rows / e2_rows: ``(pairs,)`` row indices into ``one_way_ms`` of
-            each pair's two endpoints.
-        direct_rtt_ms: ``(pairs,)`` measured direct medians.
+        direct_rtt_ms: measured direct medians of every endpoint pair
+            ``i < j``, in ``np.triu_indices(endpoints, 1)`` order (NaN finds
+            no relay feasible).
 
     Returns:
         ``(pairs × relays)`` boolean mask of
-        ``2 * (D[e1, r] + D[r, e2]) <= RTT(e1, e2)`` — bit-for-bit the
+        ``2 * (D[i, r] + D[r, j]) <= RTT(i, j)`` — bit-for-bit the
         decisions :func:`is_feasible` makes relay by relay when given the
         same matrix.  (The matrix-less scalar fallback recomputes the
         delays with ``math`` trigonometry, which can differ in the last
         ulp; a pair sitting exactly on the bound could then flip.)
+
+    Endpoint ``i``'s pairs are one block of rows, so a block's detours
+    are ``D[i + 1:] + D[i]`` in a block-sized scratch array: no pair-sized
+    gather or temporary.  IEEE addition commutes, so each detour has the
+    same bits whichever endpoint comes first.
+
+    Raises:
+        ValueError: if ``direct_rtt_ms`` does not hold one median per pair.
     """
-    detour = one_way_ms[e1_rows, :] + one_way_ms[e2_rows, :]
-    return 2.0 * detour <= np.asarray(direct_rtt_ms, dtype=float)[:, np.newaxis]
+    n, relays = one_way_ms.shape
+    rtt = np.asarray(direct_rtt_ms, dtype=float)
+    if len(rtt) != n * (n - 1) // 2:
+        raise ValueError(f"{len(rtt)} direct medians for {n} endpoints' pairs")
+    out = np.empty((len(rtt), relays), dtype=bool)
+    detour = np.empty((max(n - 1, 0), relays))
+    lo = 0
+    for i in range(n - 1):
+        hi = lo + n - 1 - i
+        block = detour[: hi - lo]
+        np.add(one_way_ms[i + 1 :], one_way_ms[i], out=block)
+        block *= 2.0
+        np.less_equal(block, rtt[lo:hi, np.newaxis], out=out[lo:hi])
+        lo = hi
+    return out

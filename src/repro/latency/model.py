@@ -127,6 +127,11 @@ def _digest_units(digests: bytes) -> np.ndarray:
     return np.frombuffer(digests, ">u8").astype(np.float64) / 2.0**64
 
 
+def _intern(codes: dict[str, int], ids: Sequence[str]) -> np.ndarray:
+    """Each id's code in ``codes``, giving a new id the next free code."""
+    return np.fromiter((codes.setdefault(i, len(codes)) for i in ids), np.intp, len(ids))
+
+
 @dataclass(frozen=True, slots=True)
 class PairGrid:
     """Deterministic pair terms for a (rows × cols) endpoint grid.
@@ -191,9 +196,13 @@ class LatencyModel:
         # per pair is the one irreducibly scalar term of the pair grid, and
         # campaign rounds revisit mostly-overlapping endpoint/relay sets —
         # warm cells come back as one fancy-indexed gather, NaN cells are
-        # hashed once and written back
-        self._skew_codes: dict[str, int] = {}
-        self._skew_matrix: np.ndarray = np.full((0, 0), np.nan)
+        # hashed once and written back.  Rows and columns have their own
+        # code spaces, so the memo spans the grids' row ids (the round's
+        # endpoints) by their column ids (endpoints and relays), not every
+        # id by every id.
+        self._skew_rows: dict[str, int] = {}
+        self._skew_cols: dict[str, int] = {}
+        self._skew_memo: np.ndarray = np.full((0, 0), np.nan)
         # endpoint-token memo: id(endpoint) -> token, with a strong
         # reference pinning each memoized object so ids are never reused
         self._ep_tokens: dict[int, object] = {}
@@ -493,21 +502,6 @@ class LatencyModel:
         both = np.asarray(self._one_way_batch(keys))
         return both[: r * c].reshape(r, c), both[r * c :].reshape(r, c)
 
-    def _skew_code(self, node_id: str) -> int:
-        """The endpoint's row/column in the skew memo, growing it on demand."""
-        codes = self._skew_codes
-        code = codes.get(node_id)
-        if code is None:
-            code = len(codes)
-            codes[node_id] = code
-            cap = self._skew_matrix.shape[0]
-            if code >= cap:
-                grown = np.full((max(256, 2 * cap),) * 2, np.nan)
-                if cap:
-                    grown[:cap, :cap] = self._skew_matrix
-                self._skew_matrix = grown
-        return code
-
     def _skew_grid(
         self, row_ids: Sequence[str], col_ids: Sequence[str]
     ) -> np.ndarray:
@@ -519,10 +513,16 @@ class LatencyModel:
         then feeds the column id: the same bytes :func:`_pair_unit_hash`
         hashes, so the same value.
         """
-        code = self._skew_code
-        rows = np.fromiter((code(a) for a in row_ids), np.intp, len(row_ids))
-        cols = np.fromiter((code(b) for b in col_ids), np.intp, len(col_ids))
-        memo = self._skew_matrix  # after every code is assigned (may grow)
+        rows = _intern(self._skew_rows, row_ids)
+        cols = _intern(self._skew_cols, col_ids)
+        memo = self._skew_memo
+        need = (len(self._skew_rows), len(self._skew_cols))
+        if need[0] > memo.shape[0] or need[1] > memo.shape[1]:
+            # each axis grows on its own, at least doubling when it grows
+            shape = [cap if n <= cap else max(n, 2 * cap) for n, cap in zip(need, memo.shape)]
+            grown = np.full(shape, np.nan)
+            grown[: memo.shape[0], : memo.shape[1]] = memo
+            self._skew_memo = memo = grown
         sub = memo[np.ix_(rows, cols)]
         miss_i, miss_j = np.nonzero(np.isnan(sub))
         if miss_i.size:
@@ -683,16 +683,16 @@ class LatencyModel:
             u_loss, u_spike = u[0], u[1]
         else:
             u_loss = rng.random(shape)
-        jitter = rng.lognormal(mean=0.0, sigma=cfg.jitter_sigma, size=shape)
-        queue = rng.exponential(cfg.queueing_scale_ms, size=shape)
-        if m == n:
-            rtt = base[:, np.newaxis] * jitter + queue
-        else:
-            rtt = base[routed, np.newaxis] * jitter + queue
+        # the RTTs are built in place in the jitter array: multiplication
+        # commutes, and a packet without a spike skips the add (no RTT is
+        # -0.0, so rtt + 0.0 == rtt), so every packet keeps its bits
+        rtt = rng.lognormal(mean=0.0, sigma=cfg.jitter_sigma, size=shape)
+        rtt *= (base if m == n else base[routed])[:, np.newaxis]
+        rtt += rng.exponential(cfg.queueing_scale_ms, size=shape)
         if spikes_on:
             low, high = cfg.spike_range_ms
             spike = rng.uniform(low, high, size=shape)
-            rtt += np.where(u_spike < cfg.spike_prob, spike, 0.0)
+            np.add(rtt, spike, out=rtt, where=u_spike < cfg.spike_prob)
         rtt[u_loss < loss[routed, np.newaxis]] = np.nan
         if m == n:
             return rtt

@@ -1,5 +1,7 @@
 """Tests for the measurement campaign workflow and result containers."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core.campaign import MeasurementCampaign
@@ -7,6 +9,8 @@ from repro.core.config import CampaignConfig
 from repro.core.results import RelayRegistry
 from repro.core.types import RELAY_TYPE_ORDER, RelayType
 from repro.errors import AnalysisError, ConfigError
+from repro.topology.config import TopologyConfig
+from repro.world import WorldConfig, build_world
 
 
 class TestCampaignConfigValidation:
@@ -179,3 +183,50 @@ class TestSymmetryMeasurement:
         assert len(pairs) > 5
         for fwd, rev in pairs:
             assert fwd > 0 and rev > 0
+
+
+class TestRoundFootprint:
+    def test_round_peak_within_pair_relay_matrices(self, small_world):
+        """A round's working memory stays within a small multiple of one
+        float64 (pairs × relays) matrix.  The endpoint blocks build no
+        pair-sized gather or scatter; the pair-gather round they replaced
+        peaked at 11.6 such matrices on this round, the blocks at 8.1."""
+        campaign = MeasurementCampaign(small_world, CampaignConfig(num_rounds=3))
+        for round_index in range(3):
+            campaign.run_round(round_index)
+        # the same round again: the latency model's caches are warm, so the
+        # peak is the round's own working memory
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            floor = tracemalloc.get_traced_memory()[0]
+            result = campaign.run_round(2)
+            peak = tracemalloc.get_traced_memory()[1] - floor
+        finally:
+            if started:
+                tracemalloc.stop()
+        endpoints = len(result.endpoint_ids)
+        relays = sum(map(len, result.relay_indices_by_type.values()))
+        matrix_bytes = endpoints * (endpoints - 1) // 2 * relays * 8
+        assert matrix_bytes > 0
+        assert peak <= 10 * matrix_bytes, peak / matrix_bytes
+
+    def test_skew_memo_spans_endpoints_by_grid_columns(self):
+        """The pair-skew memo holds the rounds' endpoints (its rows) by the
+        endpoints and relays they were paired with (its columns), each axis
+        at most doubled: 12 × 314 cells here, where one square code space
+        over every id took 256 × 256."""
+        config = WorldConfig(topology=TopologyConfig(country_limit=8))
+        world = build_world(seed=5, config=config, use_world_cache=False)
+        result = MeasurementCampaign(world, CampaignConfig(num_rounds=2)).run()
+        endpoints = set().union(*(r.endpoint_ids for r in result.rounds))
+        relays = {result.registry.get(i).node_id for i in range(len(result.registry))}
+        model = world.latency
+        assert set(model._skew_rows) == endpoints
+        assert set(model._skew_cols) == endpoints | relays
+        rows, cols = model._skew_memo.shape
+        assert len(endpoints) <= rows <= 2 * len(endpoints)
+        assert len(model._skew_cols) <= cols <= 2 * len(model._skew_cols)
+        assert model._skew_memo.nbytes == 12 * 314 * 8

@@ -112,21 +112,23 @@ class TestFeasibilityMaskEquivalence:
             for i in range(len(endpoints))
             for j in range(i + 1, len(endpoints))
         ]
-        pairs = [(i, j, rtt) for i, j, rtt in pairs if rtt is not None]
-        assert pairs
+        assert any(rtt is not None for _, _, rtt in pairs)
+        # every pair in np.triu_indices order; an unrouted pair (NaN
+        # median) finds no relay feasible
         mask = feasibility_mask(
-            one_way,
-            np.array([i for i, _, _ in pairs]),
-            np.array([j for _, j, _ in pairs]),
-            np.array([rtt for _, _, rtt in pairs]),
+            one_way, np.array([np.nan if rtt is None else rtt for _, _, rtt in pairs])
         )
         checked = 0
         for k, (i, j, rtt) in enumerate(pairs):
             for r, relay in enumerate(relays):
-                scalar = is_feasible(relay, endpoints[i], endpoints[j], rtt)
+                scalar = rtt is not None and is_feasible(relay, endpoints[i], endpoints[j], rtt)
                 assert bool(mask[k, r]) == scalar
                 checked += 1
         assert checked == len(pairs) * len(relays)
+
+    def test_mask_rejects_a_median_count_off_the_pair_count(self):
+        with pytest.raises(ValueError, match="2 direct medians for 3 endpoints"):
+            feasibility_mask(np.zeros((3, 2)), np.zeros(2))
 
     def test_scalar_wrapper_accepts_matrix(self, small_world):
         e1 = Endpoint("t1", 1, "London/GB", access_ms=1.0)

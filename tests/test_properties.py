@@ -7,8 +7,10 @@ shrink, the feasibility bound is sound by construction, the shared
 lane-ranking kernel ranks exactly as the two-key lexsort it replaced,
 the routing fabric's bulk kernels (valley-free tables, hop tables, grid
 walk) agree with the scalar references they replace, the stability CVs
-over median columns equal the dict-keyed CVs they replaced, and the
-batched skew hash equals the per-pair one.
+over median columns equal the dict-keyed CVs they replaced, the
+campaign round's endpoint-block kernels (feasibility, leg selection,
+stitching) equal the pair gathers they replaced, and the batched skew
+hash equals the per-pair one.
 """
 
 from __future__ import annotations
@@ -19,12 +21,15 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.analysis.stability import series_cvs
-from repro.core.feasibility import is_feasible
+from repro.core import campaign as campaign_mod
+from repro.core.feasibility import feasibility_mask, is_feasible
 from repro.core.oracle import rank_lane_entries
 from repro.core.stitching import improvement_ms, is_tiv, stitch_rtt
 from repro.core.results import MedianColumns
+from repro.core.types import RELAY_TYPE_ORDER
 from repro.errors import AnalysisError, RoutingError
 from repro.latency import model as latency_model
 from repro.geo.cities import all_cities
@@ -334,6 +339,144 @@ class TestFabricKernels:
         grid, _ = fabric.build_attachment_grid(walker, attachments, 0.5)
         assert np.isfinite(grid).all()
 
+
+
+def _pair_gather_round(one_way, step2, step4, legs, endpoint_cc, relays, rank):
+    """The pair-gather round the endpoint blocks replaced, kept as their
+    reference: feasibility, leg selection and the stitched table columns
+    from per-pair row gathers over NaN-marked legs.  ``rank`` orders each
+    pair's two endpoints, as the probe ids do in a campaign round."""
+    n, num_relays = len(endpoint_cc), len(relays.type_codes)
+    i_idx, j_idx = np.triu_indices(n, 1)
+    swap = rank[i_idx] > rank[j_idx]
+    e1, e2 = np.where(swap, j_idx, i_idx), np.where(swap, i_idx, j_idx)
+    feasible = 2.0 * (one_way[e1, :] + one_way[e2, :]) <= step2[:, np.newaxis]
+
+    cases = ~np.isnan(step4)
+    kept, cols = np.nonzero(feasible[cases])
+    needed = np.zeros((n, num_relays), dtype=bool)
+    needed[e1[cases][kept], cols] = True
+    needed[e2[cases][kept], cols] = True
+
+    num_types = len(RELAY_TYPE_ORDER)
+    e1_rows, e2_rows = e1[cases], e2[cases]
+    mask = feasible[cases]
+    direct_ms = step4[cases]
+    n_obs = len(direct_ms)
+    stitched = legs[e1_rows] + legs[e2_rows]
+    usable = mask & ~np.isnan(stitched)
+    improving = usable & (stitched < direct_ms[:, np.newaxis])
+    relay_cc = relays.cc_codes
+    cc1, cc2 = endpoint_cc[e1_rows], endpoint_cc[e2_rows]
+    same_country = (relay_cc[np.newaxis, :] == cc1[:, np.newaxis]) | (
+        relay_cc[np.newaxis, :] == cc2[:, np.newaxis]
+    )
+    diff_country = ~same_country
+    type_bounds = np.searchsorted(relays.type_codes, np.arange(num_types + 1)).tolist()
+    feasible_counts = np.zeros((num_types, n_obs), dtype=np.int32)
+    best_cols = np.zeros((num_types, n_obs), dtype=np.intp)
+    best_vals = np.full((num_types, n_obs), np.inf)
+    flags = np.zeros((num_types, 4, n_obs), dtype=bool)
+    arange = np.arange(n_obs)
+    for code in range(num_types if num_relays else 0):
+        lo, hi = type_bounds[code], type_bounds[code + 1]
+        if lo == hi:
+            continue
+        usable_t = usable[:, lo:hi]
+        improving_t = improving[:, lo:hi]
+        same_t = same_country[:, lo:hi]
+        diff_t = diff_country[:, lo:hi]
+        feasible_counts[code] = np.count_nonzero(mask[:, lo:hi], axis=1)
+        flags[code, 0] = np.any(usable_t & same_t, axis=1)
+        flags[code, 1] = np.any(improving_t & same_t, axis=1)
+        flags[code, 2] = np.any(usable_t & diff_t, axis=1)
+        flags[code, 3] = np.any(improving_t & diff_t, axis=1)
+        candidates = np.where(usable_t, stitched[:, lo:hi], np.inf)
+        best = np.argmin(candidates, axis=1)
+        best_cols[code] = best + lo
+        best_vals[code] = candidates[arange, best]
+    imp_pair, imp_col = np.nonzero(improving)
+    imp_group = imp_pair * num_types + relays.type_codes[imp_col]
+    indptr = np.zeros(n_obs * num_types + 1, np.int64)
+    np.cumsum(np.bincount(imp_group, minlength=n_obs * num_types), out=indptr[1:])
+    usable_best = best_vals != np.inf
+    best_relay = np.full((num_types, n_obs), -1, np.int32)
+    best_relay[usable_best] = relays.registry_idx[best_cols[usable_best]]
+    columns = {
+        "direct_rtt_ms": direct_ms,
+        "best_relay": best_relay,
+        "best_stitched": np.where(usable_best, best_vals, np.nan),
+        "feasible": feasible_counts,
+        "country_flags": flags,
+        "imp_indptr": indptr,
+        "imp_relay": relays.registry_idx[imp_col].astype(np.int32),
+        "imp_gain": direct_ms[imp_pair] - stitched[imp_pair, imp_col],
+    }
+    return feasible, needed, columns
+
+
+@st.composite
+def _round_inputs(draw):
+    """One round's block-kernel inputs: 0-8 endpoints, 0-12 relays grouped
+    in RELAY_TYPE_ORDER (types may be empty), a few shared country codes,
+    delays and legs from a small value set (so sums tie), and NaN step-2
+    medians, step-4 medians and legs."""
+    n = draw(st.integers(0, 8))
+    r = draw(st.integers(0, 12))
+    num_pairs = n * (n - 1) // 2
+    value = st.sampled_from([0.5, 1.0, 2.0, 2.5]) | st.floats(0.0, 60.0)
+    median = st.sampled_from([np.nan, 6.0, 9.0]) | st.floats(0.5, 250.0)
+    code = st.integers(0, 3)
+    relays = campaign_mod._RelayArrays(
+        items=(),
+        registry_idx=np.arange(r, dtype=np.intp) * 7 + 3,
+        type_codes=np.sort(draw(hnp.arrays(np.intp, r, elements=code))),
+        ccs=np.full(r, "XX", dtype="U3"),
+        cc_codes=draw(hnp.arrays(np.intp, r, elements=code)),
+        city_idx=np.zeros(r, np.intp),
+    )
+    return (
+        draw(hnp.arrays(np.float64, (n, r), elements=value)),
+        draw(hnp.arrays(np.float64, num_pairs, elements=median)),
+        draw(hnp.arrays(np.float64, num_pairs, elements=median)),
+        draw(hnp.arrays(np.float64, (n, r), elements=st.just(np.nan) | value)),
+        draw(hnp.arrays(np.intp, n, elements=code)),
+        relays,
+        np.asarray(draw(st.permutations(range(n))), np.intp),
+    )
+
+
+class TestRoundBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(_round_inputs())
+    def test_blocks_equal_pair_gather_reference(self, drawn):
+        one_way, step2, step4, legs, endpoint_cc, relays, rank = drawn
+        want_feasible, want_needed, want = _pair_gather_round(*drawn)
+
+        feasible = feasibility_mask(one_way, step2)
+        assert feasible.shape == want_feasible.shape
+        assert feasible.tobytes() == want_feasible.tobytes()
+        needed = campaign_mod._needed_legs(feasible, step4, len(endpoint_cc))
+        assert needed.shape == want_needed.shape
+        assert needed.tobytes() == want_needed.tobytes()
+
+        case_rows = np.flatnonzero(~np.isnan(step4))
+        # a dirty buffer: any cell the kernel fails to set shows up
+        stitched = np.full((len(case_rows), len(relays.type_codes)), -1.0)
+        got = campaign_mod._stitch_columns(
+            case_rows,
+            step4,
+            feasible,
+            np.where(np.isnan(legs), np.inf, legs),
+            endpoint_cc,
+            relays,
+            stitched,
+        )
+        assert got.keys() == want.keys()
+        for name, column in want.items():
+            assert got[name].dtype == column.dtype, name
+            assert got[name].shape == column.shape, name
+            assert got[name].tobytes() == column.tobytes(), name
 
 def _dict_series_cvs(rounds: Sequence[Mapping], min_occurrences: int) -> list[float]:
     """The dict-keyed ``series_cvs`` the median columns replaced, kept as its
