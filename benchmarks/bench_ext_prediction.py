@@ -49,19 +49,27 @@ def test_prediction_beats_random(benchmark, result, report_sink):
     cases, relays, _ = table.type_entries(RELAY_TYPE_ORDER.index(RelayType.COR))
     pool = sorted(set(relays[train[cases]].tolist()))
     rng = np.random.default_rng(5)
+    # the held-out round's cases, each with its set of improving COR relays
+    held_out = np.flatnonzero(~train)
+    improving = {case: set() for case in held_out.tolist()}
+    for case, relay in zip(cases.tolist(), relays.tolist()):
+        if case in improving:
+            improving[case].add(relay)
+    ccs = table.pools.countries
 
     def run():
         predicted_hits = random_hits = evaluated = 0
-        for obs in result.rounds[-1].observations:
-            entries = dict(obs.improving_by_type.get(RelayType.COR, ()))
-            predicted = history.predict_ccs(obs.e1_cc, obs.e2_cc, 3)
+        for case, entries in improving.items():
+            predicted = history.predict_ccs(
+                ccs[table.e1_cc[case]], ccs[table.e2_cc[case]], 3
+            )
             if not entries or not predicted:
                 continue
             evaluated += 1
-            if set(predicted) & set(entries):
+            if set(predicted) & entries:
                 predicted_hits += 1
             random_pick = rng.choice(pool, size=min(3, len(pool)), replace=False)
-            if set(int(x) for x in random_pick) & set(entries):
+            if set(int(x) for x in random_pick) & entries:
                 random_hits += 1
         return evaluated, predicted_hits, random_hits
 

@@ -49,14 +49,16 @@ def main() -> None:
     print(f"  improvement captured vs the oracle:             {100 * score.captured_gain_frac:.1f}%")
 
     print(f"\nsample routing decisions for round {rounds - 1} traffic:")
+    table = result.rounds[-1].table
+    ids, ccs = table.pools.endpoint_ids, table.pools.countries
     shown = 0
-    for obs in result.rounds[-1].observations:
-        decision = service.route(obs.e1_id, obs.e2_id, RelayType.COR, k=1)
+    for e1, e2, cc1, cc2 in zip(table.e1_id, table.e2_id, table.e1_cc, table.e2_cc):
+        decision = service.route(ids[e1], ids[e2], RelayType.COR, k=1)
         if decision.relay_id is None:
             continue
         relay = result.registry.get(decision.relay_id)
         print(
-            f"  {obs.e1_cc} <-> {obs.e2_cc}: relay via {relay.city_key:<18} "
+            f"  {ccs[cc1]} <-> {ccs[cc2]}: relay via {relay.city_key:<18} "
             f"[{decision.tier:>7} tier] expect -{decision.expected_reduction_ms:.0f} ms"
         )
         shown += 1

@@ -11,9 +11,11 @@ Run:  python examples/voip_quality.py
 
 from __future__ import annotations
 
+import numpy as np
+
 from _shared import example_campaign_result, example_countries, example_rounds
 from repro.analysis.voip import VOIP_RTT_THRESHOLD_MS, VoipAnalysis
-from repro.core.types import RelayType
+from repro.core.types import RELAY_TYPE_ORDER, RelayType
 
 
 def main() -> None:
@@ -29,24 +31,24 @@ def main() -> None:
     print(f"direct paths above it:          {100 * direct:>5.1f}%  (paper: 19%)")
     print(f"with each pair's best Colo relay: {100 * relayed:>5.1f}%  (paper: 11%)")
 
-    rescued = []
-    for obs in result.observations():
-        stitched = obs.best_stitched(RelayType.COR)
-        if (
-            obs.direct_rtt_ms > VOIP_RTT_THRESHOLD_MS
-            and stitched is not None
-            and stitched <= VOIP_RTT_THRESHOLD_MS
-        ):
-            rescued.append(obs)
-    rescued.sort(key=lambda o: o.direct_rtt_ms - (o.best_stitched(RelayType.COR) or 0))
+    table = result.table
+    cor = RELAY_TYPE_ORDER.index(RelayType.COR)
+    direct_ms, relayed_ms = table.direct_rtt_ms, table.best_stitched[cor]
+    # a case without a usable Colo relay stitches to NaN, which fails <=
+    rescued = np.flatnonzero(
+        (direct_ms > VOIP_RTT_THRESHOLD_MS) & (relayed_ms <= VOIP_RTT_THRESHOLD_MS)
+    )
+    saved_ms = direct_ms[rescued] - relayed_ms[rescued]
+    rescued = rescued[np.argsort(saved_ms, kind="stable")]
+    ccs = table.pools.countries
     print(f"\ncalls rescued by a Colo relay: {len(rescued)}")
     print(f"{'pair':<24} {'direct':>8} {'relayed':>8} {'saved':>7}")
-    for obs in rescued[-8:][::-1]:
-        stitched = obs.best_stitched(RelayType.COR)
+    for case in rescued[-8:][::-1]:
+        before, after = float(direct_ms[case]), float(relayed_ms[case])
         print(
-            f"{obs.e1_cc + ' <-> ' + obs.e2_cc:<24} "
-            f"{obs.direct_rtt_ms:>7.0f}ms {stitched:>7.0f}ms "
-            f"{obs.direct_rtt_ms - stitched:>6.0f}ms"
+            f"{ccs[table.e1_cc[case]] + ' <-> ' + ccs[table.e2_cc[case]]:<24} "
+            f"{before:>7.0f}ms {after:>7.0f}ms "
+            f"{before - after:>6.0f}ms"
         )
 
 

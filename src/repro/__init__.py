@@ -35,7 +35,6 @@ __all__ = [
     "MeasurementCampaign",
     "CampaignResult",
     "RoundResult",
-    "PairObservation",
     "ObservationTable",
     "TablePools",
     "SweepEntry",
@@ -75,7 +74,7 @@ __getattr__, __dir__ = lazy_exports(
         "repro.world": ("World", "WorldConfig", "build_world"),
         "repro.core.config": ("CampaignConfig",),
         "repro.core.campaign": ("MeasurementCampaign",),
-        "repro.core.results": ("CampaignResult", "PairObservation", "RoundResult"),
+        "repro.core.results": ("CampaignResult", "RoundResult"),
         "repro.core.sweep": ("SweepEntry", "SweepRequest", "SweepResult", "run_sweep"),
         "repro.core.montecarlo": (
             "MonteCarloConfig",

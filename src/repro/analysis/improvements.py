@@ -29,8 +29,8 @@ def _median_of_column(values: np.ndarray) -> float:
     """Median of a float64 column.
 
     ``np.median`` averages the middle two for even length exactly like
-    :func:`repro.util.stats.median` ((a + b) / 2 in float64), so the
-    columnar analyses stay bit-identical to the object path.
+    :func:`repro.util.stats.median` ((a + b) / 2 in float64), so a
+    column's median equals that helper's over the same values, bit for bit.
     """
     return float(np.median(values))
 

@@ -20,7 +20,6 @@ __all__ = [
     "stitch_rtt",
     "is_tiv",
     "RelayRecord",
-    "PairObservation",
     "RoundResult",
     "CampaignResult",
     "MeasurementCampaign",
@@ -36,7 +35,7 @@ __getattr__, __dir__ = lazy_exports(
         "repro.core.relays": ("AtlasRelaySelector", "PlanetLabRelaySelector"),
         "repro.core.feasibility": ("feasibility_mask", "feasible_relays", "is_feasible"),
         "repro.core.stitching": ("stitch_rtt", "is_tiv"),
-        "repro.core.results": ("CampaignResult", "PairObservation", "RelayRecord", "RoundResult"),
+        "repro.core.results": ("CampaignResult", "RelayRecord", "RoundResult"),
         "repro.core.campaign": ("MeasurementCampaign",),
     },
 )

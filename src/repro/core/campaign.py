@@ -36,8 +36,8 @@ median; the reductions land straight in the round's columnar
 round's one large temporary.  (Keeping it in one buffer across rounds
 saved page faults but no measurable wall time, and held it through the
 rest of the run.)  No Python-level per-(pair, relay) loop runs anywhere
-between feasibility and the stored result, and no per-pair observation
-objects are built unless a caller materializes them.
+between feasibility and the stored result, and no per-pair object is
+built at all.
 
 Routing is precomputed rather than faulted in: before the first round the
 campaign asks the world to build its :class:`~repro.routing.fabric

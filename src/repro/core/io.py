@@ -14,10 +14,10 @@ its direct and relay medians: the three
 order (``round<k>.direct.*`` / ``round<k>.relay.*``).  It is uncompressed
 because the loader memory-maps it: loaded columns, medians included, are
 read-only views of the file and no per-case or per-median Python object
-is built; the loader checks the median columns' lengths and code ranges
-instead.  Version-1 files were JSON; they, like any file that is not a
-format-2 archive, raise :class:`~repro.errors.StoreError` naming the
-path — re-run the campaign.
+is built; the loader checks the columns' shapes, code ranges and CSR
+offsets instead.  Version-1 files were JSON; they, like any file that is
+not a format-2 archive, raise :class:`~repro.errors.StoreError` naming
+the path — re-run the campaign.
 """
 
 from __future__ import annotations
@@ -91,9 +91,11 @@ def load_result(path: str | os.PathLike) -> CampaignResult:
     Raises:
         StoreError: naming ``path``, if the file is missing, truncated or
             not a format-2 result archive (a version-1 JSON file included),
-            or if a round's median columns differ in length or hold an
-            endpoint code outside the id pool or a relay index outside the
-            registry.
+            or if a round's columns are defective: a table column of the
+            wrong shape, median columns of unequal length, a code outside
+            its string pool, a relay index outside the registry
+            (``best_relay`` may be -1), or an ``imp_indptr`` that does not
+            run from 0, without decreasing, to ``len(imp_relay)``.
     """
     arrays = read_arrays(path)
     try:
@@ -117,14 +119,37 @@ def load_result(path: str | os.PathLike) -> CampaignResult:
             for name in ("endpoint_ids", "countries", "cities")
         ))
 
+        def check_codes(member: str, codes: np.ndarray, limit: int, low: int = 0) -> None:
+            if codes.size and not low <= codes.min() <= codes.max() < limit:
+                raise StoreError(path, f"{member} holds a code outside [{low}, {limit})")
+
+        def round_table(prefix: str) -> ObservationTable:
+            try:
+                table = ObservationTable(pools, **{
+                    name: arrays[prefix + name] for name in ObservationTable._ARRAY_FIELDS
+                })
+            except AnalysisError as exc:  # a column of the wrong shape, named first
+                raise StoreError(path, f"{prefix}{exc}") from exc
+            for names, limit in (
+                (("e1_id", "e2_id"), len(pools.endpoint_ids)),
+                (("e1_cc", "e2_cc"), len(pools.countries)),
+                (("e1_city", "e2_city"), len(pools.cities)),
+                (("imp_relay",), len(registry)),
+            ):
+                for name in names:
+                    check_codes(prefix + name, getattr(table, name), limit)
+            check_codes(prefix + "best_relay", table.best_relay, len(registry), low=-1)
+            ptr = table.imp_indptr
+            if ptr[0] != 0 or ptr[-1] != len(table.imp_relay) or (np.diff(ptr) < 0).any():
+                raise StoreError(path, f"{prefix}imp_indptr is not a CSR index of imp_relay")
+            return table
+
         def medians(prefix: str, b_limit: int) -> MedianColumns:
             cols = MedianColumns(*(arrays[f"{prefix}.{name}"] for name in ("a", "b", "ms")))
             if not len(cols.a) == len(cols.b) == len(cols.ms):
                 raise StoreError(path, f"{prefix} columns differ in length")
-            for name, limit in (("a", len(pools.endpoint_ids)), ("b", b_limit)):
-                codes = getattr(cols, name)
-                if codes.size and not 0 <= codes.min() <= codes.max() < limit:
-                    raise StoreError(path, f"{prefix}.{name} holds a code outside [0, {limit})")
+            check_codes(prefix + ".a", cols.a, len(pools.endpoint_ids))
+            check_codes(prefix + ".b", cols.b, b_limit)
             return cols
 
         rounds = []
@@ -137,9 +162,7 @@ def load_result(path: str | os.PathLike) -> CampaignResult:
                 relay_indices_by_type={
                     RelayType(t): tuple(v) for t, v in info["relay_indices_by_type"].items()
                 },
-                table=ObservationTable(pools, **{
-                    name: arrays[prefix + name] for name in ObservationTable._ARRAY_FIELDS
-                }),
+                table=round_table(prefix),
                 direct_medians=medians(prefix + "direct", len(pools.endpoint_ids)),
                 relay_medians=(
                     medians(prefix + "relay", len(registry)) if info["relay_medians"] else None

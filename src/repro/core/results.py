@@ -1,13 +1,10 @@
 """Result containers of the measurement campaign.
 
 Storage is columnar: relays live once in a registry and are referenced by
-integer index, and the per-case data (best stitched RTTs, improving-relay
-lists, feasibility counts, country groups) lives in each round's
-:class:`~repro.core.table.ObservationTable` — structure-of-arrays NumPy
-columns the analyses reduce directly.  :class:`PairObservation` survives
-as a lazily materialized per-case adapter: ``round.observations`` and
-``result.observations()`` build the objects on first access, so object-
-oriented callers keep working while the hot paths never leave NumPy.
+integer index, and the per-case data (direct RTTs, best stitched RTTs,
+improving-relay lists, feasibility counts, country groups) lives only in
+each round's :class:`~repro.core.table.ObservationTable` —
+structure-of-arrays NumPy columns the analyses reduce directly.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ import numpy as np
 from repro.core.table import ObservationTable
 from repro.core.types import RELAY_TYPE_ORDER, RelayType
 from repro.errors import AnalysisError
-from repro.geo.countries import continent_of
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,72 +241,6 @@ def unify_relay_identities(
     }
 
 
-@dataclass(frozen=True, slots=True)
-class PairObservation:
-    """One endpoint pair in one round — the campaign's unit of analysis
-    (a "case" in the paper's terminology).
-
-    Attributes:
-        round_index: The round the pair was measured in.
-        e1_id / e2_id: Endpoint probe ids.
-        e1_cc / e2_cc: Endpoint countries (always different, Sec 2.1).
-        e1_city / e2_city: Endpoint cities.
-        direct_rtt_ms: Median direct-path RTT (step 4 re-measurement).
-        best_by_type: Per relay type, ``(relay_index, stitched_rtt_ms)`` of
-            the minimum-latency *feasible* relay with valid legs.
-        improving_by_type: Per relay type, ``(relay_index,
-            improvement_ms)`` for every relay that beat the direct path.
-        feasible_by_type: Per relay type, how many sampled relays passed
-            the speed-of-light bound for this pair.
-        country_groups_by_type: Per relay type, four booleans supporting
-            the "Changing Countries and Paths" analysis:
-            ``(usable_same_cc, improving_same_cc, usable_diff_cc,
-            improving_diff_cc)`` — whether a relay sharing a country with
-            an endpoint (resp. in a third country) was usable (feasible
-            with both legs measured) and whether one improved the pair.
-    """
-
-    round_index: int
-    e1_id: str
-    e2_id: str
-    e1_cc: str
-    e2_cc: str
-    e1_city: str
-    e2_city: str
-    direct_rtt_ms: float
-    best_by_type: dict[RelayType, tuple[int, float]]
-    improving_by_type: dict[RelayType, tuple[tuple[int, float], ...]]
-    feasible_by_type: dict[RelayType, int]
-    country_groups_by_type: dict[RelayType, tuple[bool, bool, bool, bool]] = field(
-        default_factory=dict
-    )
-
-    def best_stitched(self, relay_type: RelayType) -> float | None:
-        """Best stitched RTT for a type, or None if no usable relay."""
-        entry = self.best_by_type.get(relay_type)
-        return entry[1] if entry else None
-
-    def best_improvement(self, relay_type: RelayType) -> float | None:
-        """Improvement of the type's best relay (may be negative), or None."""
-        stitched = self.best_stitched(relay_type)
-        if stitched is None:
-            return None
-        return self.direct_rtt_ms - stitched
-
-    def improved(self, relay_type: RelayType) -> bool:
-        """True if any relay of the type beat the direct path."""
-        return bool(self.improving_by_type.get(relay_type))
-
-    def num_improving(self, relay_type: RelayType) -> int:
-        """How many relays of the type beat the direct path."""
-        return len(self.improving_by_type.get(relay_type, ()))
-
-    @property
-    def is_intercontinental(self) -> bool:
-        """True if the endpoints are on different continents."""
-        return continent_of(self.e1_cc) != continent_of(self.e2_cc)
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class MedianColumns:
     """One round's medians as three parallel columns, in measurement order.
@@ -343,10 +273,9 @@ class MedianColumns:
 class RoundResult:
     """Everything measured in one campaign round.
 
-    The per-case data lives columnar in ``table``; ``observations`` is a
-    lazily materialized (and cached) object view over it.
-    ``direct_medians`` (step 4's valid pairs, in the table's case order)
-    and ``relay_medians`` (every valid endpoint-relay leg, endpoint-major)
+    The per-case data lives columnar in ``table``.  ``direct_medians``
+    (step 4's valid pairs, in the table's case order) and
+    ``relay_medians`` (every valid endpoint-relay leg, endpoint-major)
     keep the raw medians as :class:`MedianColumns` so the
     temporal-stability analysis can compute per-pair CVs across rounds;
     ``relay_medians`` may be None when the campaign is configured not to
@@ -361,11 +290,6 @@ class RoundResult:
     direct_medians: MedianColumns
     relay_medians: MedianColumns | None
     pings_sent: int
-
-    @property
-    def observations(self) -> list[PairObservation]:
-        """The round's cases as objects (materialized once, then cached)."""
-        return self.table.materialized()
 
     def num_pairs(self) -> int:
         """Endpoint pairs with a valid direct measurement this round."""
@@ -394,11 +318,6 @@ class CampaignResult:
         if self._table is None:
             self._table = ObservationTable.concat([r.table for r in self.rounds])
         return self._table
-
-    def observations(self) -> Iterator[PairObservation]:
-        """Every pair observation across every round."""
-        for rnd in self.rounds:
-            yield from rnd.observations
 
     @property
     def total_cases(self) -> int:

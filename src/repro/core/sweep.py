@@ -317,9 +317,10 @@ def _run_seed_columns(
     This is the worker side of the sweep: the parent resolves each
     entry's scenario into explicit configs (registry scenarios hold
     unpicklable mapping proxies; plain config dataclasses travel cheaply
-    to pool processes), and the campaign result travels back as a
-    columnar payload (flat arrays) plus the few scalars the table does
-    not carry, never as pickled ``PairObservation`` lists.
+    to pool processes), and the campaign result travels back as its
+    table's payload (flat arrays, see
+    :meth:`~repro.core.table.ObservationTable.to_payload`) and its
+    registry's, plus the few scalars the table does not carry.
 
     Wall clock is reported split into ``world_build_s`` (world assembly +
     routing fabric/grid — snapshot-restored when ``world_cache`` hits) and

@@ -1,22 +1,18 @@
-"""Columnar observation storage: the campaign's results as NumPy columns.
+"""Columnar observation storage: the campaign's cases as NumPy columns.
 
 The paper's unit of analysis is the *case* — one endpoint pair in one
 round.  A campaign produces tens of thousands of them, and every analysis
 is a reduction over the whole set (fractions, medians, CDFs, rankings).
-Packaging each case into a :class:`~repro.core.results.PairObservation`
-object at the round boundary therefore throws away the matrix shape the
-measurement engine already computed, only for the analyses to re-iterate
-the objects in pure Python.
 
-:class:`ObservationTable` keeps the campaign matrix-shaped end to end:
-a structure-of-arrays layout with one int/float/bool column per field,
-string identities (probe ids, country codes, cities) interned to integer
-codes, and the ragged per-case improving-relay lists stored as one CSR
-block (``imp_indptr`` over ``case * num_types + type_code`` groups into
-flat ``imp_relay`` / ``imp_gain`` arrays).  The stitching step fills the
-columns directly from the matrices it already holds; analyses reduce them
-with NumPy; :class:`PairObservation` objects survive as a *lazily
-materialized adapter* for callers that want per-case records.
+:class:`ObservationTable` is the one representation of a case, kept
+matrix-shaped end to end: a structure-of-arrays layout with one
+int/float/bool column per field, string identities (probe ids, country
+codes, cities) interned to integer codes, and the ragged per-case
+improving-relay lists stored as one CSR block (``imp_indptr`` over
+``case * num_types + type_code`` groups into flat ``imp_relay`` /
+``imp_gain`` arrays).  The stitching step fills the columns directly from
+the matrices it already holds; the analyses, the serving directory and
+the result file read the columns, and no per-case object is built.
 
 Tables are cheap to ship between processes (a handful of flat arrays —
 see :meth:`ObservationTable.to_payload`), which is what the multi-seed
@@ -26,9 +22,9 @@ pickling object lists.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
@@ -36,14 +32,14 @@ from repro.core.types import RELAY_TYPE_ORDER
 from repro.errors import AnalysisError
 from repro.geo.countries import continent_of
 
-if TYPE_CHECKING:  # circular at runtime: results.py holds tables
-    from repro.core.results import PairObservation
-
 #: Number of relay-type lanes every per-type column carries.
 NUM_RELAY_TYPES = len(RELAY_TYPE_ORDER)
 
-#: Order of the four country-group flags in the ``country_flags`` column
-#: (matches ``PairObservation.country_groups_by_type`` tuples).
+#: Order of the four country-group flags in the ``country_flags`` column,
+#: the data of the "Changing Countries and Paths" analysis: per case and
+#: relay type, whether a relay sharing a country with an endpoint (resp. a
+#: relay in a third country) was usable — feasible with both legs
+#: measured — and whether one of them improved the pair.
 COUNTRY_FLAG_LABELS = (
     "usable_same_cc",
     "improving_same_cc",
@@ -107,17 +103,20 @@ class TablePools:
 
 
 class ObservationTable:
-    """Structure-of-arrays storage for a set of pair observations.
+    """Structure-of-arrays storage for a set of cases.
 
     Columns (``n`` = cases, ``T`` = :data:`NUM_RELAY_TYPES`):
 
     * ``round_idx`` — ``(n,) int32`` round of each case;
     * ``e1_id`` / ``e2_id`` — ``(n,) int32`` endpoint-id pool codes;
-    * ``e1_cc`` / ``e2_cc`` — ``(n,) int32`` country pool codes;
+    * ``e1_cc`` / ``e2_cc`` — ``(n,) int32`` country pool codes (a case's
+      two countries always differ, Sec 2.1);
     * ``e1_city`` / ``e2_city`` — ``(n,) int32`` city pool codes;
-    * ``direct_rtt_ms`` — ``(n,) float64`` direct-path medians;
+    * ``direct_rtt_ms`` — ``(n,) float64`` direct-path medians (step 4's
+      re-measurement);
     * ``best_relay`` — ``(T, n) int32`` registry index of the type's best
-      usable relay, ``-1`` when the type had none;
+      usable relay (feasible, both legs measured, least stitched RTT),
+      ``-1`` when the type had none;
     * ``best_stitched`` — ``(T, n) float64`` its stitched RTT (NaN = none);
     * ``feasible`` — ``(T, n) int32`` relays passing the Sec 2.4 bound;
     * ``country_flags`` — ``(T, 4, n) bool`` in
@@ -147,7 +146,6 @@ class ObservationTable:
         "imp_gain",
         "_imp_counts",
         "_type_entries",
-        "_materialized",
     )
 
     _ARRAY_FIELDS = (
@@ -173,18 +171,24 @@ class ObservationTable:
         for name in self._ARRAY_FIELDS:
             setattr(self, name, columns[name])
         n = self.round_idx.shape[0]
-        if self.best_relay.shape != (NUM_RELAY_TYPES, n):
-            raise AnalysisError(
-                f"best_relay shape {self.best_relay.shape} != ({NUM_RELAY_TYPES}, {n})"
-            )
-        if self.imp_indptr.shape[0] != n * NUM_RELAY_TYPES + 1:
-            raise AnalysisError(
-                f"imp_indptr length {self.imp_indptr.shape[0]} != "
-                f"{n * NUM_RELAY_TYPES + 1}"
-            )
+        m = self.imp_relay.shape[0]
+        per_type = (NUM_RELAY_TYPES, n)
+        shapes = dict.fromkeys(self._ARRAY_FIELDS, (n,))
+        shapes.update(
+            best_relay=per_type,
+            best_stitched=per_type,
+            feasible=per_type,
+            country_flags=(NUM_RELAY_TYPES, 4, n),
+            imp_indptr=(n * NUM_RELAY_TYPES + 1,),
+            imp_relay=(m,),
+            imp_gain=(m,),
+        )
+        for name, shape in shapes.items():
+            got = getattr(self, name).shape
+            if got != shape:
+                raise AnalysisError(f"{name} shape {got} != {shape}")
         self._imp_counts: np.ndarray | None = None
         self._type_entries: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._materialized: list[PairObservation] | None = None
 
     # ------------------------------------------------------------ basic shape
 
@@ -192,6 +196,9 @@ class ObservationTable:
     def num_cases(self) -> int:
         """Number of cases (rows) in the table."""
         return self.round_idx.shape[0]
+
+    def __len__(self) -> int:
+        return self.num_cases
 
     @classmethod
     def empty(cls, pools: TablePools | None = None) -> ObservationTable:
@@ -240,7 +247,7 @@ class ObservationTable:
         """The type's improving entries as ``(case_idx, relay, gain)`` arrays.
 
         Entries are ordered by case, and within a case in the round's relay
-        order — exactly the order the object path iterates them.
+        order, as the CSR block stores them.
         """
         cached = self._type_entries.get(type_code)
         if cached is not None:
@@ -264,9 +271,9 @@ class ObservationTable:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per improved case (in case order): ``(case_idx, max gain)``.
 
-        The columnar translation of ``max(gain for _, gain in entries)``
-        over each case's improving list — identical floats, since the max
-        of a set does not depend on reduction order.
+        The max is taken over each case's improving list with one
+        ``maximum.reduceat``; a max does not depend on reduction order, so
+        it equals a per-case Python ``max`` float for float.
         """
         cases, _, gains = self.type_entries(type_code)
         if cases.size == 0:
@@ -290,18 +297,9 @@ class ObservationTable:
         hi = np.maximum(a, b).astype(np.int64)
         return (lo << 32) | hi
 
-    @staticmethod
-    def unpack_pair(key: int) -> tuple[int, int]:
-        """The (low, high) codes a :meth:`pack_pairs` key was built from."""
-        return int(key) >> 32, int(key) & 0xFFFFFFFF
-
     def cc_pair_keys(self) -> np.ndarray:
         """``(n,) int64`` canonical country-pair lane key per case."""
         return self.pack_pairs(self.e1_cc, self.e2_cc)
-
-    def endpoint_pair_keys(self) -> np.ndarray:
-        """``(n,) int64`` canonical endpoint-pair lane key per case."""
-        return self.pack_pairs(self.e1_id, self.e2_id)
 
     def round_values(self) -> np.ndarray:
         """Sorted unique round indices present in the table."""
@@ -331,122 +329,7 @@ class ObservationTable:
             len(self.pools.countries),
         )
 
-    # --------------------------------------------------------- materialization
-
-    def observation(self, i: int) -> PairObservation:
-        """Materialize case ``i`` as a :class:`PairObservation`."""
-        from repro.core.results import PairObservation
-
-        pools = self.pools
-        ptr = self.imp_indptr
-        base = i * NUM_RELAY_TYPES
-        best: dict = {}
-        improving: dict = {}
-        feasible: dict = {}
-        groups: dict = {}
-        for code, relay_type in enumerate(RELAY_TYPE_ORDER):
-            relay = int(self.best_relay[code, i])
-            if relay >= 0:
-                best[relay_type] = (relay, float(self.best_stitched[code, i]))
-            j0, j1 = int(ptr[base + code]), int(ptr[base + code + 1])
-            improving[relay_type] = tuple(
-                zip(self.imp_relay[j0:j1].tolist(), self.imp_gain[j0:j1].tolist())
-            )
-            feasible[relay_type] = int(self.feasible[code, i])
-            groups[relay_type] = tuple(self.country_flags[code, :, i].tolist())
-        return PairObservation(
-            round_index=int(self.round_idx[i]),
-            e1_id=pools.endpoint_ids[self.e1_id[i]],
-            e2_id=pools.endpoint_ids[self.e2_id[i]],
-            e1_cc=pools.countries[self.e1_cc[i]],
-            e2_cc=pools.countries[self.e2_cc[i]],
-            e1_city=pools.cities[self.e1_city[i]],
-            e2_city=pools.cities[self.e2_city[i]],
-            direct_rtt_ms=float(self.direct_rtt_ms[i]),
-            best_by_type=best,
-            improving_by_type=improving,
-            feasible_by_type=feasible,
-            country_groups_by_type=groups,
-        )
-
-    def materialized(self) -> list[PairObservation]:
-        """All cases as objects; built once and cached on the table."""
-        if self._materialized is None:
-            self._materialized = [self.observation(i) for i in range(self.num_cases)]
-        return self._materialized
-
-    def __iter__(self) -> Iterator[PairObservation]:
-        return iter(self.materialized())
-
-    def __len__(self) -> int:
-        return self.num_cases
-
     # ---------------------------------------------------------- constructors
-
-    @classmethod
-    def from_observations(
-        cls,
-        observations: Sequence[PairObservation],
-        pools: TablePools | None = None,
-    ) -> ObservationTable:
-        """Build a table from existing objects (object-level callers, tests).
-
-        The adapter direction: object in, columns out.  Missing per-type
-        entries get the same defaults the campaign writes (no best relay,
-        zero feasible, all-false country flags, empty improving list).
-        """
-        pools = pools or TablePools.fresh()
-        n = len(observations)
-        if n == 0:
-            return cls.empty(pools)
-        round_idx = np.fromiter((o.round_index for o in observations), np.int32, n)
-        e1_id = pools.endpoint_ids.codes(o.e1_id for o in observations)
-        e2_id = pools.endpoint_ids.codes(o.e2_id for o in observations)
-        e1_cc = pools.countries.codes(o.e1_cc for o in observations)
-        e2_cc = pools.countries.codes(o.e2_cc for o in observations)
-        e1_city = pools.cities.codes(o.e1_city for o in observations)
-        e2_city = pools.cities.codes(o.e2_city for o in observations)
-        direct = np.fromiter((o.direct_rtt_ms for o in observations), float, n)
-        best_relay = np.full((NUM_RELAY_TYPES, n), -1, np.int32)
-        best_stitched = np.full((NUM_RELAY_TYPES, n), np.nan)
-        feasible = np.zeros((NUM_RELAY_TYPES, n), np.int32)
-        country_flags = np.zeros((NUM_RELAY_TYPES, 4, n), bool)
-        indptr = np.zeros(n * NUM_RELAY_TYPES + 1, np.int64)
-        imp_relay: list[int] = []
-        imp_gain: list[float] = []
-        for i, obs in enumerate(observations):
-            for code, relay_type in enumerate(RELAY_TYPE_ORDER):
-                entry = obs.best_by_type.get(relay_type)
-                if entry is not None:
-                    best_relay[code, i] = entry[0]
-                    best_stitched[code, i] = entry[1]
-                feasible[code, i] = obs.feasible_by_type.get(relay_type, 0)
-                flags = obs.country_groups_by_type.get(relay_type)
-                if flags is not None:
-                    country_flags[code, :, i] = flags
-                entries = obs.improving_by_type.get(relay_type, ())
-                for relay, gain in entries:
-                    imp_relay.append(relay)
-                    imp_gain.append(gain)
-                indptr[i * NUM_RELAY_TYPES + code + 1] = len(imp_relay)
-        return cls(
-            pools,
-            round_idx=round_idx,
-            e1_id=e1_id,
-            e2_id=e2_id,
-            e1_cc=e1_cc,
-            e2_cc=e2_cc,
-            e1_city=e1_city,
-            e2_city=e2_city,
-            direct_rtt_ms=direct,
-            best_relay=best_relay,
-            best_stitched=best_stitched,
-            feasible=feasible,
-            country_flags=country_flags,
-            imp_indptr=indptr,
-            imp_relay=np.asarray(imp_relay, np.int32),
-            imp_gain=np.asarray(imp_gain, float),
-        )
 
     @classmethod
     def concat(cls, tables: Sequence[ObservationTable]) -> ObservationTable:

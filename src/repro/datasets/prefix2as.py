@@ -48,10 +48,6 @@ class Prefix2AS:
             return []
         return match[1]
 
-    def is_moas(self, address: IPv4Address) -> bool:
-        """True if the best-matching prefix has multiple origins."""
-        return len(set(self.origins(address))) > 1
-
     def num_prefixes(self) -> int:
         """Distinct prefixes in the dataset."""
         return len(self._trie)

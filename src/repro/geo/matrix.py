@@ -122,10 +122,6 @@ class CityDelayMatrix:
         self._fill(np.asarray([i], dtype=np.intp))
         return self._km[i]
 
-    def one_way_ms_row(self, i: int) -> np.ndarray:
-        """One-way fiber-light delays (ms) from city ``i`` to every city."""
-        return self.distance_row(i) / SPEED_OF_LIGHT_FIBER_KM_PER_MS
-
     def distance_km(self, i: int, j: int) -> float:
         """Great-circle distance between cities ``i`` and ``j``, km."""
         return float(self.distance_row(i)[j])
@@ -170,7 +166,3 @@ class CityDelayMatrix:
     def one_way_ms_between(self, a_key: str, b_key: str) -> float:
         """One-way fiber delay between two city keys, ms (scalar wrapper)."""
         return self.one_way_ms(self.index(a_key), self.index(b_key))
-
-    def distance_km_between(self, a_key: str, b_key: str) -> float:
-        """Great-circle distance between two city keys, km (scalar wrapper)."""
-        return self.distance_km(self.index(a_key), self.index(b_key))

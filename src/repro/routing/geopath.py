@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import RoutingError
-from repro.geo.distance import FIBER_PATH_STRETCH, SPEED_OF_LIGHT_FIBER_KM_PER_MS
+from repro.geo.distance import SPEED_OF_LIGHT_FIBER_KM_PER_MS
 from repro.geo.matrix import CityDelayMatrix
 from repro.routing.fabric import GeoWalkMemo
 from repro.topology.graph import ASGraph
@@ -344,18 +344,3 @@ class GeoPathWalker:
                 self._matrix.index(dst_city)
             ] * self.carrier_stretch(as_path[-1])
         return km_stretched / SPEED_OF_LIGHT_FIBER_KM_PER_MS
-
-    def waypoint_propagation_ms(self, waypoint_keys: list[str]) -> float:
-        """One-way fiber delay along explicit waypoints (flat default
-        stretch; no carrier attribution).  Used by display/ablation code.
-
-        Raises:
-            RoutingError: on an empty sequence.
-        """
-        if not waypoint_keys:
-            raise RoutingError("empty waypoint sequence")
-        matrix = self._matrix
-        km = 0.0
-        for a, b in zip(waypoint_keys, waypoint_keys[1:]):
-            km += self._row(matrix.index(a))[matrix.index(b)]
-        return km * FIBER_PATH_STRETCH / SPEED_OF_LIGHT_FIBER_KM_PER_MS

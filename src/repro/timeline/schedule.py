@@ -121,10 +121,6 @@ class CompiledTimeline:
             for r in range(self.num_rounds)
         )
 
-    @property
-    def has_link_events(self) -> bool:
-        return any(self._links)
-
     def effects(self, round_index: int) -> RoundEffects:
         """The round's effects (no-effect sentinel outside the horizon)."""
         if not 0 <= round_index < self.num_rounds:

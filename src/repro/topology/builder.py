@@ -131,10 +131,6 @@ class Topology:
         """Convenience accessor for eyeball ISPs."""
         return self.asns_of_type(ASType.EYEBALL)
 
-    def facilities_in_city(self, city_key: str) -> tuple[Facility, ...]:
-        """Facilities located in the given city."""
-        return tuple(f for f in self.facilities.values() if f.city_key == city_key)
-
     def facilities_of_member(self, asn: int) -> tuple[Facility, ...]:
         """Facilities where the given AS has equipment."""
         return tuple(f for f in self.facilities.values() if asn in f.members)

@@ -2,11 +2,13 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.core.campaign import MeasurementCampaign
 from repro.core.config import CampaignConfig
 from repro.core.results import RelayRegistry
+from repro.core.table import NUM_RELAY_TYPES
 from repro.core.types import RELAY_TYPE_ORDER, RelayType
 from repro.errors import AnalysisError, ConfigError
 from repro.topology.config import TopologyConfig
@@ -64,51 +66,48 @@ class TestCampaignRun:
         assert len(small_campaign_result.rounds) == 3
 
     def test_pairs_have_distinct_countries(self, small_campaign_result):
-        for obs in small_campaign_result.observations():
-            assert obs.e1_cc != obs.e2_cc
+        table = small_campaign_result.table
+        assert table.num_cases > 0
+        # both columns code into one country pool
+        assert (table.e1_cc != table.e2_cc).all()
 
     def test_direct_rtts_positive(self, small_campaign_result):
-        for obs in small_campaign_result.observations():
-            assert obs.direct_rtt_ms > 0
+        assert (small_campaign_result.table.direct_rtt_ms > 0).all()
 
     def test_best_is_min_of_improving(self, small_campaign_result):
-        for obs in small_campaign_result.observations():
-            for relay_type in RELAY_TYPE_ORDER:
-                entries = obs.improving_by_type.get(relay_type, ())
-                best = obs.best_by_type.get(relay_type)
-                if entries:
-                    assert best is not None
-                    best_gain = max(gain for _, gain in entries)
-                    assert obs.direct_rtt_ms - best[1] == pytest.approx(best_gain)
+        table = small_campaign_result.table
+        for code in range(NUM_RELAY_TYPES):
+            cases, best_gains = table.best_gain_per_improved_case(code)
+            assert (table.best_relay[code, cases] >= 0).all()
+            stitched = table.best_stitched[code, cases]
+            assert table.direct_rtt_ms[cases] - stitched == pytest.approx(best_gains)
 
     def test_improving_entries_positive(self, small_campaign_result):
-        for obs in small_campaign_result.observations():
-            for relay_type in RELAY_TYPE_ORDER:
-                for _, gain in obs.improving_by_type.get(relay_type, ()):
-                    assert gain > 0
+        assert (small_campaign_result.table.imp_gain > 0).all()
 
     def test_improving_relays_are_feasible_subset(self, small_campaign_result):
-        for obs in small_campaign_result.observations():
-            for relay_type in RELAY_TYPE_ORDER:
-                assert obs.num_improving(relay_type) <= obs.feasible_by_type.get(
-                    relay_type, 0
-                )
+        table = small_campaign_result.table
+        assert (table.improving_counts() <= table.feasible).all()
 
     def test_registry_types_consistent(self, small_campaign_result):
-        registry = small_campaign_result.registry
-        for obs in small_campaign_result.observations():
-            for relay_type in RELAY_TYPE_ORDER:
-                for idx, _ in obs.improving_by_type.get(relay_type, ()):
-                    assert registry.get(idx).relay_type is relay_type
+        table = small_campaign_result.table
+        registry_types = np.array(
+            [RELAY_TYPE_ORDER.index(r.relay_type) for r in small_campaign_result.registry]
+        )
+        # CSR group i * T + c holds type c's entries
+        groups = np.arange(table.num_cases * NUM_RELAY_TYPES) % NUM_RELAY_TYPES
+        entry_types = np.repeat(groups, np.diff(table.imp_indptr))
+        assert entry_types.size > 0
+        assert (registry_types[table.imp_relay] == entry_types).all()
 
     def test_endpoints_never_relay_for_themselves(self, small_campaign_result):
         registry = small_campaign_result.registry
         for rnd in small_campaign_result.rounds:
             endpoint_ids = set(rnd.endpoint_ids)
-            for obs in rnd.observations:
-                for relay_type in (RelayType.RAR_EYE, RelayType.RAR_OTHER):
-                    for idx, _ in obs.improving_by_type.get(relay_type, ()):
-                        assert registry.get(idx).node_id not in endpoint_ids
+            for relay_type in (RelayType.RAR_EYE, RelayType.RAR_OTHER):
+                _, relays, _ = rnd.table.type_entries(RELAY_TYPE_ORDER.index(relay_type))
+                for idx in relays.tolist():
+                    assert registry.get(idx).node_id not in endpoint_ids
 
     def test_all_relay_types_used(self, small_campaign_result):
         registry = small_campaign_result.registry
@@ -116,16 +115,20 @@ class TestCampaignRun:
             assert registry.of_type(relay_type), f"no {relay_type} relays registered"
 
     def test_direct_medians_match_observations(self, small_campaign_result):
-        ids = small_campaign_result.table.pools.endpoint_ids.values
         for rnd in small_campaign_result.rounds:
-            medians = rnd.direct_medians
-            assert len(medians) == len(rnd.observations)
-            for obs, a, b, ms in zip(
-                rnd.observations, medians.a.tolist(), medians.b.tolist(), medians.ms.tolist()
+            table, medians = rnd.table, rnd.direct_medians
+            ids = table.pools.endpoint_ids.values
+            assert len(medians) == table.num_cases
+            for e1, e2, direct, a, b, ms in zip(
+                table.e1_id.tolist(),
+                table.e2_id.tolist(),
+                table.direct_rtt_ms.tolist(),
+                medians.a.tolist(),
+                medians.b.tolist(),
+                medians.ms.tolist(),
             ):
-                key = (min(obs.e1_id, obs.e2_id), max(obs.e1_id, obs.e2_id))
-                assert (ids[a], ids[b]) == key
-                assert ms == obs.direct_rtt_ms
+                assert (ids[a], ids[b]) == tuple(sorted((ids[e1], ids[e2])))
+                assert ms == direct
 
     def test_relay_medians_recorded(self, small_campaign_result):
         for rnd in small_campaign_result.rounds:
@@ -156,9 +159,7 @@ class TestCampaignDeterminism:
         a = MeasurementCampaign(small_world, cfg).run()
         b = MeasurementCampaign(small_world, cfg).run()
         assert a.total_cases == b.total_cases
-        obs_a = [(o.e1_id, o.e2_id, o.direct_rtt_ms) for o in a.observations()]
-        obs_b = [(o.e1_id, o.e2_id, o.direct_rtt_ms) for o in b.observations()]
-        assert obs_a == obs_b
+        assert a.table.columns_equal(b.table)
 
     def test_progress_callback(self, small_world):
         seen = []

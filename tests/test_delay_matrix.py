@@ -270,5 +270,4 @@ class TestCampaignDeterminismVectorized:
             assert rnd_a.direct_medians == rnd_b.direct_medians
             assert rnd_a.relay_medians == rnd_b.relay_medians
             assert rnd_a.relay_indices_by_type == rnd_b.relay_indices_by_type
-            for obs_a, obs_b in zip(rnd_a.observations, rnd_b.observations):
-                assert obs_a == obs_b
+            assert rnd_a.table.columns_equal(rnd_b.table)

@@ -199,6 +199,19 @@ def _rewrite_meta(src, dst, **changes) -> None:
     store.write_arrays(dst, arrays)
 
 
+def _assert_refused(saved, tmp_path, member, defect) -> StoreError:
+    """``load_result`` refuses ``saved`` with ``defect`` applied to ``member``."""
+    arrays = {name: np.array(a) for name, a in store.read_arrays(saved).items()}
+    arrays[member] = defect(arrays[member], arrays)
+    path = tmp_path / "result.json"
+    store.write_arrays(path, arrays)
+    with pytest.raises(StoreError, match=re.escape(str(path))) as info:
+        load_result(path)
+    assert info.value.path == path
+    assert member.rsplit(".", 1)[0] in str(info.value)
+    return info.value
+
+
 class TestErrorHandling:
     def test_missing_file(self, tmp_path):
         path = tmp_path / "nope.json"
@@ -278,14 +291,53 @@ class TestErrorHandling:
         ],
     )
     def test_defective_median_columns(self, saved, tmp_path, member, defect):
-        arrays = {name: np.array(a) for name, a in store.read_arrays(saved).items()}
-        arrays[member] = defect(arrays[member], arrays)
-        path = tmp_path / "result.json"
-        store.write_arrays(path, arrays)
-        with pytest.raises(StoreError, match=re.escape(str(path))) as info:
-            load_result(path)
-        assert info.value.path == path
-        assert member.rsplit(".", 1)[0] in str(info.value)
+        _assert_refused(saved, tmp_path, member, defect)
+
+    @pytest.mark.parametrize(
+        "member, defect",
+        [
+            pytest.param("round0.e2_id", lambda a, _: a[:-1], id="case-column-short"),
+            pytest.param(
+                "round1.country_flags", lambda f, _: f[:, :3], id="flags-one-short"
+            ),
+            pytest.param("round2.imp_gain", lambda g, _: g[1:], id="gain-column-short"),
+            pytest.param("round0.imp_indptr", lambda p, _: p[:-1], id="indptr-one-short"),
+            pytest.param(
+                "round1.imp_indptr",
+                lambda p, _: _first_set_to(p, 1),
+                id="indptr-not-from-zero",
+            ),
+            pytest.param(
+                "round2.imp_indptr",
+                lambda p, _: np.concatenate(([0], p[-1:], p[2:])),
+                id="indptr-decreasing",
+            ),
+            pytest.param(
+                "round1.e1_cc",
+                lambda a, arrays: _first_set_to(a, arrays["pool.countries"].size),
+                id="country-code-past-pool",
+            ),
+            pytest.param(
+                "round2.e2_city", lambda a, _: _first_set_to(a, -1), id="negative-city-code"
+            ),
+            pytest.param(
+                "round0.imp_relay",
+                lambda r, arrays: _first_set_to(r, arrays["relay.node_ids"].size),
+                id="improving-relay-past-registry",
+            ),
+            pytest.param(
+                "round1.best_relay",
+                lambda b, arrays: _first_set_to(b, arrays["relay.node_ids"].size),
+                id="best-relay-past-registry",
+            ),
+            pytest.param(
+                "round2.best_relay", lambda b, _: _first_set_to(b, -2), id="best-relay-below-none"
+            ),
+        ],
+    )
+    def test_defective_table_columns(self, saved, tmp_path, member, defect):
+        error = _assert_refused(saved, tmp_path, member, defect)
+        assert member in str(error)
 
     def test_missing_member(self, saved, tmp_path):
         arrays = dict(store.read_arrays(saved))

@@ -7,30 +7,28 @@ import pytest
 
 from repro.analysis.multihop import two_relay_study
 from repro.core.oracle import LaneHistory, evaluate_prediction
-from repro.core.results import CampaignResult, PairObservation
+from repro.core.results import CampaignResult
 from repro.core.table import ObservationTable
 from repro.core.types import RelayType
 from repro.errors import AnalysisError
+from table_builder import Case, build_table
 
 
 def _obs(round_index, cc1, cc2, improving, direct=100.0):
-    return PairObservation(
+    return Case(
         round_index=round_index,
-        e1_id="a",
-        e2_id="b",
         e1_cc=cc1,
         e2_cc=cc2,
         e1_city=f"X/{cc1}",
         e2_city=f"Y/{cc2}",
         direct_rtt_ms=direct,
-        best_by_type={},
         improving_by_type={RelayType.COR: tuple(improving)},
         feasible_by_type={RelayType.COR: len(improving)},
     )
 
 
-def _history(*observations: PairObservation) -> LaneHistory:
-    return LaneHistory.from_table(ObservationTable.from_observations(observations))
+def _history(*cases: Case) -> LaneHistory:
+    return LaneHistory.from_table(build_table(list(cases)))
 
 
 class TestLaneHistoryRanking:

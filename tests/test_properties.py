@@ -9,12 +9,14 @@ the routing fabric's bulk kernels (valley-free tables, hop tables, grid
 walk) agree with the scalar references they replace, the stability CVs
 over median columns equal the dict-keyed CVs they replaced, the
 campaign round's endpoint-block kernels (feasibility, leg selection,
-stitching) equal the pair gathers they replaced, and the batched skew
-hash equals the per-pair one.
+stitching) equal the pair gathers they replaced, the batched skew
+hash equals the per-pair one, and a result file gives back every table
+it stored.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from collections.abc import Mapping, Sequence
 
@@ -28,7 +30,9 @@ from repro.core import campaign as campaign_mod
 from repro.core.feasibility import feasibility_mask, is_feasible
 from repro.core.oracle import rank_lane_entries
 from repro.core.stitching import improvement_ms, is_tiv, stitch_rtt
-from repro.core.results import MedianColumns
+from repro.core.io import load_result, save_result
+from repro.core.results import CampaignResult, MedianColumns, RelayRegistry, RoundResult
+from repro.core.table import TablePools
 from repro.core.types import RELAY_TYPE_ORDER
 from repro.errors import AnalysisError, RoutingError
 from repro.latency import model as latency_model
@@ -41,6 +45,7 @@ from repro.routing.fabric import RoutingFabric
 from repro.routing.geopath import GeoPathWalker
 from repro.topology.graph import ASGraph
 from repro.topology.types import ASType, AutonomousSystem
+from table_builder import Case, build_table
 
 _CITIES = all_cities()
 _city_index = st.integers(0, len(_CITIES) - 1)
@@ -135,38 +140,32 @@ class TestCampaignInvariants:
         assert all(a >= b for a, b in zip(funnel, funnel[1:]))
 
     def test_best_relay_is_min_over_improving(self, small_campaign_result):
-        from repro.core.types import RELAY_TYPE_ORDER
-
-        for obs in small_campaign_result.observations():
-            for relay_type in RELAY_TYPE_ORDER:
-                entries = obs.improving_by_type.get(relay_type, ())
-                if not entries:
-                    continue
-                best = obs.best_by_type[relay_type]
-                assert best[1] <= min(
-                    obs.direct_rtt_ms - gain for _, gain in entries
-                ) + 1e-9
+        table = small_campaign_result.table
+        for code in range(len(RELAY_TYPE_ORDER)):
+            cases, _, gains = table.type_entries(code)
+            # the best relay's stitched RTT is no worse than any improving one's
+            assert (table.best_relay[code, cases] >= 0).all()
+            stitched = table.direct_rtt_ms[cases] - gains
+            assert (table.best_stitched[code, cases] <= stitched + 1e-9).all()
 
     def test_group_flags_consistent_with_improving(self, small_campaign_result):
-        from repro.core.types import RELAY_TYPE_ORDER
-
+        table = small_campaign_result.table
         registry = small_campaign_result.registry
-        for obs in small_campaign_result.observations():
-            for relay_type in RELAY_TYPE_ORDER:
-                flags = obs.country_groups_by_type.get(relay_type)
-                if flags is None:
-                    continue
-                usable_same, improving_same, usable_diff, improving_diff = flags
-                # an improving group must also be usable
-                assert not (improving_same and not usable_same)
-                assert not (improving_diff and not usable_diff)
-                # any improving relay implies its group's improving flag
-                for idx, _ in obs.improving_by_type.get(relay_type, ()):
-                    cc = registry.get(idx).cc
-                    if cc in (obs.e1_cc, obs.e2_cc):
-                        assert improving_same
-                    else:
-                        assert improving_diff
+        # -1 for a relay country no endpoint has: never "same country"
+        relay_cc = table.country_codes_for(record.cc for record in registry)
+        for code in range(len(RELAY_TYPE_ORDER)):
+            usable_same, improving_same, usable_diff, improving_diff = (
+                table.country_flags[code]
+            )
+            # an improving group must also be usable
+            assert not (improving_same & ~usable_same).any()
+            assert not (improving_diff & ~usable_diff).any()
+            # any improving relay implies its group's improving flag
+            cases, relays, _ = table.type_entries(code)
+            cc = relay_cc[relays]
+            same = (cc == table.e1_cc[cases]) | (cc == table.e2_cc[cases])
+            assert improving_same[cases[same]].all()
+            assert improving_diff[cases[~same]].all()
 
 
 def _rank_lexsort(lanes, relays, counts=None, gains=None):
@@ -575,3 +574,68 @@ class TestMedianColumns:
         want = int.from_bytes(digest, "big") / 2**64
         assert got.tolist() == [want, want]
         assert got[0].hex() == want.hex()
+
+
+#: The relay type of each registry index the drawn tables refer to.
+_REGISTRY_TYPES = tuple(t for t in RELAY_TYPE_ORDER for _ in range(2))
+
+
+def _per_type(values):
+    """A map over some relay types; the types left out take the defaults."""
+    return st.dictionaries(st.sampled_from(RELAY_TYPE_ORDER), values)
+
+
+_relay = st.integers(0, len(_REGISTRY_TYPES) - 1)
+_ms = st.floats(0.5, 900.0)
+_cases = st.builds(
+    Case,
+    e1_id=st.sampled_from(("p1", "p2", "p3")),
+    e2_id=st.sampled_from(("p4", "p5")),
+    e1_cc=st.sampled_from(("DE", "JP", "US")),
+    e2_cc=st.sampled_from(("BR", "ZA")),
+    e1_city=st.sampled_from(("Berlin/DE", "Tokyo/JP", "Chicago/US")),
+    e2_city=st.sampled_from(("Recife/BR", "Durban/ZA")),
+    direct_rtt_ms=_ms,
+    best_by_type=_per_type(st.tuples(_relay, _ms)),
+    improving_by_type=_per_type(st.lists(st.tuples(_relay, _ms), max_size=3).map(tuple)),
+    feasible_by_type=_per_type(st.integers(0, 40)),
+    country_groups_by_type=_per_type(st.tuples(*[st.booleans()] * 4)),
+)
+
+
+@pytest.fixture(scope="module")
+def store_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("store")
+
+
+class TestStoreRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(_cases, max_size=6), max_size=3))
+    def test_saved_tables_load_equal(self, store_dir, rounds):
+        registry = RelayRegistry()
+        for index, relay_type in enumerate(_REGISTRY_TYPES):
+            registry.register(f"r{index}", relay_type, 64500 + index, "NL", "Amsterdam/NL")
+        pools = TablePools.fresh()
+        result = CampaignResult(rounds=[], registry=registry)
+        for k, cases in enumerate(rounds):
+            table = build_table(
+                [dataclasses.replace(case, round_index=k) for case in cases], pools
+            )
+            result.rounds.append(RoundResult(
+                round_index=k,
+                timestamp_hours=12.0 * k,
+                endpoint_ids=tuple(sorted({c.e1_id for c in cases} | {c.e2_id for c in cases})),
+                relay_indices_by_type={},
+                table=table,
+                direct_medians=MedianColumns(table.e1_id, table.e2_id, table.direct_rtt_ms),
+                relay_medians=None,
+                pings_sent=0,
+            ))
+        path = store_dir / "result.npz"
+        save_result(result, path)
+        loaded = load_result(path)
+        assert len(loaded.rounds) == len(rounds)
+        for got, want in zip(loaded.rounds, result.rounds):
+            assert got.table.columns_equal(want.table)
+            assert got.direct_medians == want.direct_medians
+        assert loaded.table.columns_equal(result.table)

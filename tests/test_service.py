@@ -110,11 +110,13 @@ class TestDirectoryCompile:
         """Reductions equal the mean observed improvement per (lane, relay)."""
         directory = service.directory
         block = directory.block(TIER_COUNTRY, RelayType.COR)
+        table = small_campaign_result.table
+        ccs = table.pools.countries.values
+        cases, relays, gains = table.type_entries(RELAY_TYPE_ORDER.index(RelayType.COR))
         observed: dict[tuple[str, str, int], list[float]] = {}
-        for obs in small_campaign_result.observations():
-            cc = tuple(sorted((obs.e1_cc, obs.e2_cc)))
-            for relay, gain in obs.improving_by_type.get(RelayType.COR, ()):
-                observed.setdefault((*cc, relay), []).append(gain)
+        for case, relay, gain in zip(cases.tolist(), relays.tolist(), gains.tolist()):
+            cc = tuple(sorted((ccs[table.e1_cc[case]], ccs[table.e2_cc[case]])))
+            observed.setdefault((*cc, relay), []).append(gain)
         names = directory.countries()
         for lane in range(block.num_lanes):
             lo, hi = _unpack(block.keys[lane])
@@ -157,14 +159,16 @@ class TestQueries:
                 assert decision.tier == TIER_NAMES[int(batch.tier[i])]
 
     def test_exact_pair_tier(self, small_campaign_result, service):
-        for obs in small_campaign_result.observations():
-            if obs.improving_by_type.get(RelayType.COR):
-                decision = service.route(obs.e1_id, obs.e2_id, RelayType.COR)
-                assert decision.tier == "pair"
-                assert decision.relay_id is not None
-                assert decision.expected_reduction_ms > 0
-                return
-        pytest.skip("no COR-improved case in the fixture")
+        table = small_campaign_result.table
+        improved = np.flatnonzero(table.improved_mask(RELAY_TYPE_ORDER.index(RelayType.COR)))
+        if improved.size == 0:
+            pytest.skip("no COR-improved case in the fixture")
+        ids = table.pools.endpoint_ids.values
+        case = improved[0]
+        decision = service.route(ids[table.e1_id[case]], ids[table.e2_id[case]], RelayType.COR)
+        assert decision.tier == "pair"
+        assert decision.relay_id is not None
+        assert decision.expected_reduction_ms > 0
 
     def test_country_fallback_tier(self, small_campaign_result, service):
         """A pair never measured together falls back to its country lane."""

@@ -1,11 +1,12 @@
-"""Table-vs-object equivalence suite for the columnar observation pipeline.
+"""Table-vs-reference equivalence suite for the columnar observation pipeline.
 
-The analyses were rewritten from PairObservation walks to NumPy column
+The analyses were rewritten from per-case object walks to NumPy column
 reductions; this module keeps *frozen copies* of the original object-path
-implementations and asserts, on a real same-seed campaign, that the
-columnar numbers are identical — plus structural round-trips
-(table -> objects -> table, save/load, pickle payload) and ragged-CSR edge
-cases (zero improving / zero feasible relays).
+implementations, fed per-case records by a small decoder, and asserts, on
+a real same-seed campaign, that the columnar numbers are identical — plus
+structural round-trips (table -> cases -> table, save/load, pickle
+payload) and ragged-CSR edge cases (zero improving / zero feasible
+relays).
 """
 
 import json
@@ -19,11 +20,45 @@ from repro.analysis.improvements import ImprovementAnalysis
 from repro.analysis.ranking import TopRelayAnalysis
 from repro.analysis.stability import StabilityAnalysis
 from repro.analysis.voip import VoipAnalysis
-from repro.core.results import PairObservation
 from repro.core.sweep import SweepRequest, run_seed_campaign, run_sweep
 from repro.core.table import NUM_RELAY_TYPES, ObservationTable, TablePools
 from repro.core.types import RELAY_TYPE_ORDER, RelayType
+from repro.geo.countries import continent_of
 from repro.util.stats import median
+from table_builder import Case, build_table
+
+
+def _decode(table):
+    """The table's cases as records, every relay type spelled out."""
+    pools = table.pools
+    ptr = table.imp_indptr.tolist()
+    relays, gains = table.imp_relay.tolist(), table.imp_gain.tolist()
+    cases = []
+    for i in range(table.num_cases):
+        best, improving, feasible, groups = {}, {}, {}, {}
+        for code, relay_type in enumerate(RELAY_TYPE_ORDER):
+            relay = int(table.best_relay[code, i])
+            if relay >= 0:
+                best[relay_type] = (relay, float(table.best_stitched[code, i]))
+            j0, j1 = ptr[i * NUM_RELAY_TYPES + code], ptr[i * NUM_RELAY_TYPES + code + 1]
+            improving[relay_type] = tuple(zip(relays[j0:j1], gains[j0:j1]))
+            feasible[relay_type] = int(table.feasible[code, i])
+            groups[relay_type] = tuple(table.country_flags[code, :, i].tolist())
+        cases.append(Case(
+            round_index=int(table.round_idx[i]),
+            e1_id=pools.endpoint_ids[table.e1_id[i]],
+            e2_id=pools.endpoint_ids[table.e2_id[i]],
+            e1_cc=pools.countries[table.e1_cc[i]],
+            e2_cc=pools.countries[table.e2_cc[i]],
+            e1_city=pools.cities[table.e1_city[i]],
+            e2_city=pools.cities[table.e2_city[i]],
+            direct_rtt_ms=float(table.direct_rtt_ms[i]),
+            best_by_type=best,
+            improving_by_type=improving,
+            feasible_by_type=feasible,
+            country_groups_by_type=groups,
+        ))
+    return cases
 
 
 # --------------------------------------------------------------------------
@@ -139,9 +174,9 @@ def _ref_voip(observations, threshold, relay_type):
     relayed_poor = 0
     for obs in observations:
         effective = obs.direct_rtt_ms
-        stitched = obs.best_stitched(relay_type)
-        if stitched is not None and stitched < effective:
-            effective = stitched
+        best = obs.best_by_type.get(relay_type)
+        if best is not None and best[1] < effective:
+            effective = best[1]
         if effective > threshold:
             relayed_poor += 1
     return direct_poor / total, relayed_poor / total
@@ -153,8 +188,7 @@ def _ref_voip(observations, threshold, relay_type):
 
 @pytest.fixture(scope="module")
 def campaign(small_campaign_result):
-    observations = list(small_campaign_result.observations())
-    return small_campaign_result, observations
+    return small_campaign_result, _decode(small_campaign_result.table)
 
 
 class TestObjectPathEquivalence:
@@ -179,7 +213,7 @@ class TestObjectPathEquivalence:
     def test_improved_fraction_matches_object_walk(self, campaign):
         result, observations = campaign
         for relay_type in RELAY_TYPE_ORDER:
-            improved = sum(1 for o in observations if o.improved(relay_type))
+            improved = sum(1 for o in observations if o.improving_by_type[relay_type])
             assert result.improved_fraction(relay_type) == improved / len(observations)
 
     def test_country_split_and_groups(self, campaign):
@@ -203,7 +237,9 @@ class TestObjectPathEquivalence:
 
     def test_intercontinental_fraction(self, campaign):
         result, observations = campaign
-        inter = sum(1 for o in observations if o.is_intercontinental)
+        inter = sum(
+            1 for o in observations if continent_of(o.e1_cc) != continent_of(o.e2_cc)
+        )
         assert CountryChangeAnalysis(result).intercontinental_fraction() == (
             inter / len(observations)
         )
@@ -235,15 +271,15 @@ class TestObjectPathEquivalence:
         assert voip.relayed_poor_fraction(RelayType.COR) == relayed_ref
 
     def test_stability_per_round_fractions(self, campaign):
-        result, _ = campaign
+        result, observations = campaign
         stability = StabilityAnalysis(result, min_occurrences=2)
         for relay_type in RELAY_TYPE_ORDER:
             expected = []
             for rnd in result.rounds:
-                obs = rnd.observations
+                obs = [o for o in observations if o.round_index == rnd.round_index]
                 if not obs:
                     continue
-                improved = sum(1 for o in obs if o.improved(relay_type))
+                improved = sum(1 for o in obs if o.improving_by_type[relay_type])
                 expected.append((rnd.round_index, improved / len(obs)))
             assert stability.per_round_improved_fractions(relay_type) == expected
 
@@ -255,9 +291,13 @@ class TestObjectPathEquivalence:
 class TestRoundTrips:
     def test_objects_to_table_and_back(self, campaign):
         result, observations = campaign
-        rebuilt = ObservationTable.from_observations(observations)
+        pools = TablePools.fresh()
+        rebuilt = ObservationTable.concat(
+            [build_table(_decode(rnd.table), pools) for rnd in result.rounds]
+        )
+        assert rebuilt.pools is pools
         assert result.table.columns_equal(rebuilt)
-        assert rebuilt.materialized() == observations
+        assert _decode(rebuilt) == observations
 
     def test_round_tables_share_pools_with_campaign_table(self, campaign):
         result, _ = campaign
@@ -269,7 +309,7 @@ class TestRoundTrips:
         payload = pickle.loads(pickle.dumps(result.table.to_payload()))
         restored = ObservationTable.from_payload(payload)
         assert result.table.columns_equal(restored)
-        assert restored.materialized() == observations
+        assert _decode(restored) == observations
 
     def test_save_load_round_trip(self, campaign, tmp_path):
         from repro.core.io import load_result, save_result
@@ -278,20 +318,21 @@ class TestRoundTrips:
         path = tmp_path / "result.json"
         save_result(result, path)
         loaded = load_result(path)
-        assert list(loaded.observations()) == observations
+        assert _decode(loaded.table) == observations
         assert loaded.table.columns_equal(result.table)
         assert ImprovementAnalysis(loaded).summary() == ImprovementAnalysis(
             result
         ).summary()
 
     def test_concat_with_distinct_pools_decodes_identically(self, campaign):
-        result, observations = campaign
+        result, _ = campaign
         # one table per round, each with its own pools: the remap path
         per_round = [
-            ObservationTable.from_observations(rnd.observations)
+            ObservationTable.from_payload(rnd.table.to_payload())
             for rnd in result.rounds
         ]
         merged = ObservationTable.concat(per_round)
+        assert merged.pools is not result.table.pools
         assert merged.columns_equal(result.table)
 
 
@@ -321,7 +362,7 @@ class TestSweepTransport:
             seed=3, config=WorldConfig(topology=TopologyConfig(country_limit=8))
         )
         result = MeasurementCampaign(world, CampaignConfig(num_rounds=1)).run()
-        observations = list(result.observations())
+        observations = _decode(result.table)
         assert metrics["total_cases"] == len(observations)
         for relay_type in RELAY_TYPE_ORDER:
             values = _ref_best_improvements(observations, relay_type)
@@ -345,70 +386,51 @@ class TestSweepTransport:
 # ragged-CSR edge cases
 
 
-def _obs(round_index, pair_no, *, improving=None, best=None, feasible=None,
-         groups=None, direct=120.0):
-    improving = improving or {}
-    feasible = feasible or {}
-    groups = groups or {}
-    full_improving = {t: tuple(improving.get(t, ())) for t in RELAY_TYPE_ORDER}
-    full_feasible = {t: feasible.get(t, 0) for t in RELAY_TYPE_ORDER}
-    full_groups = {
-        t: tuple(groups.get(t, (False, False, False, False)))
-        for t in RELAY_TYPE_ORDER
-    }
-    return PairObservation(
-        round_index=round_index,
-        e1_id=f"p{pair_no}a",
-        e2_id=f"p{pair_no}b",
-        e1_cc="DE",
-        e2_cc="JP",
-        e1_city="Berlin/DE",
-        e2_city="Tokyo/JP",
-        direct_rtt_ms=direct,
-        best_by_type=best or {},
-        improving_by_type=full_improving,
-        feasible_by_type=full_feasible,
-        country_groups_by_type=full_groups,
-    )
-
-
 class TestCsrEdgeCases:
     def test_zero_improving_and_zero_feasible(self):
-        observations = [
+        cases = [
             # no feasible relays at all: everything empty
-            _obs(0, 0),
+            Case(e1_id="p0a", e2_id="p0b"),
             # feasible relays but none improving (best exists, no gain)
-            _obs(
-                0,
-                1,
-                best={RelayType.COR: (7, 150.0)},
-                feasible={RelayType.COR: 3},
+            Case(
+                e1_id="p1a",
+                e2_id="p1b",
+                best_by_type={RelayType.COR: (7, 150.0)},
+                feasible_by_type={RelayType.COR: 3},
             ),
             # a mixed case: COR improves twice, PLR has feasible-only
-            _obs(
-                0,
-                2,
-                improving={RelayType.COR: ((7, 30.0), (9, 12.5))},
-                best={RelayType.COR: (7, 90.0)},
-                feasible={RelayType.COR: 4, RelayType.PLR: 2},
-                groups={RelayType.COR: (True, True, True, False)},
+            Case(
+                e1_id="p2a",
+                e2_id="p2b",
+                improving_by_type={RelayType.COR: ((7, 30.0), (9, 12.5))},
+                best_by_type={RelayType.COR: (7, 90.0)},
+                feasible_by_type={RelayType.COR: 4, RelayType.PLR: 2},
+                country_groups_by_type={RelayType.COR: (True, True, True, False)},
             ),
         ]
-        table = ObservationTable.from_observations(observations)
+        table = build_table(cases)
         assert table.num_cases == 3
         assert table.imp_indptr[-1] == 2
         counts = table.improving_counts()
         cor = RELAY_TYPE_ORDER.index(RelayType.COR)
+        plr = RELAY_TYPE_ORDER.index(RelayType.PLR)
         assert counts[cor].tolist() == [0, 0, 2]
         assert table.improved_count(cor) == 1
         for code in range(NUM_RELAY_TYPES):
             if code != cor:
                 assert table.improved_count(code) == 0
-        # materialized objects are exactly the originals
-        assert table.materialized() == observations
+        # the defaults of an absent relay type, beside the spelled-out ones
+        assert table.best_relay[cor].tolist() == [-1, 7, 7]
+        assert np.isnan(table.best_stitched[cor, 0])
+        assert np.isnan(table.best_stitched[plr]).all()
+        assert table.feasible[:, 2].tolist() == [4, 2, 0, 0]
+        assert table.country_flags[cor, :, 2].tolist() == [True, True, True, False]
+        assert not table.country_flags[:, :, :2].any()
+        assert table.imp_relay.tolist() == [7, 9]
+        assert table.imp_gain.tolist() == [30.0, 12.5]
 
     def test_empty_type_entries(self):
-        table = ObservationTable.from_observations([_obs(0, 0)])
+        table = build_table([Case()])
         for code in range(NUM_RELAY_TYPES):
             cases, relays, gains = table.type_entries(code)
             assert cases.size == relays.size == gains.size == 0
@@ -417,38 +439,38 @@ class TestCsrEdgeCases:
 
     def test_empty_table(self):
         table = ObservationTable.empty()
-        assert table.num_cases == 0
-        assert table.materialized() == []
+        assert table.num_cases == len(table) == 0
+        assert build_table([]).columns_equal(table)
         assert ObservationTable.concat([]).num_cases == 0
 
     def test_best_gain_segments(self):
-        observations = [
-            _obs(
-                0,
-                0,
-                improving={RelayType.PLR: ((1, 5.0), (2, 25.0), (3, 10.0))},
-                best={RelayType.PLR: (2, 95.0)},
-                feasible={RelayType.PLR: 3},
+        cases = [
+            Case(
+                e1_id="p0a",
+                e2_id="p0b",
+                improving_by_type={RelayType.PLR: ((1, 5.0), (2, 25.0), (3, 10.0))},
+                best_by_type={RelayType.PLR: (2, 95.0)},
+                feasible_by_type={RelayType.PLR: 3},
             ),
-            _obs(0, 1),
-            _obs(
-                0,
-                2,
-                improving={RelayType.PLR: ((4, 40.0),)},
-                best={RelayType.PLR: (4, 80.0)},
-                feasible={RelayType.PLR: 1},
+            Case(e1_id="p1a", e2_id="p1b"),
+            Case(
+                e1_id="p2a",
+                e2_id="p2b",
+                improving_by_type={RelayType.PLR: ((4, 40.0),)},
+                best_by_type={RelayType.PLR: (4, 80.0)},
+                feasible_by_type={RelayType.PLR: 1},
             ),
         ]
-        table = ObservationTable.from_observations(observations)
+        table = build_table(cases)
         plr = RELAY_TYPE_ORDER.index(RelayType.PLR)
-        cases, gains = table.best_gain_per_improved_case(plr)
-        assert cases.tolist() == [0, 2]
+        improved, gains = table.best_gain_per_improved_case(plr)
+        assert improved.tolist() == [0, 2]
         assert gains.tolist() == [25.0, 40.0]
 
-    def test_from_observations_with_shared_pools(self):
+    def test_concat_keeps_shared_pools(self):
         pools = TablePools.fresh()
-        t1 = ObservationTable.from_observations([_obs(0, 0)], pools=pools)
-        t2 = ObservationTable.from_observations([_obs(1, 0)], pools=pools)
+        t1 = build_table([Case(round_index=0)], pools)
+        t2 = build_table([Case(round_index=1)], pools)
         merged = ObservationTable.concat([t1, t2])
         assert merged.pools is pools
         assert merged.num_cases == 2
