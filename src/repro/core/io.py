@@ -91,9 +91,10 @@ def load_result(path: str | os.PathLike) -> CampaignResult:
     Raises:
         StoreError: naming ``path``, if the file is missing, truncated or
             not a format-2 result archive (a version-1 JSON file included),
-            or if a round's columns are defective: a table column of the
-            wrong shape, median columns of unequal length, a code outside
-            its string pool, a relay index outside the registry
+            if a string pool repeats a string or the relay registry a node
+            id, or if a round's columns are defective: a table column of
+            the wrong shape, median columns of unequal length, a code
+            outside its string pool, a relay index outside the registry
             (``best_relay`` may be -1), or an ``imp_indptr`` that does not
             run from 0, without decreasing, to ``len(imp_relay)``.
     """
@@ -106,18 +107,26 @@ def load_result(path: str | os.PathLike) -> CampaignResult:
     if version != FORMAT_VERSION:
         raise StoreError(path, f"format version {version}; this build reads {FORMAT_VERSION}")
     try:
-        registry = RelayRegistry.from_payload({
-            name[len("relay."):]: values.tolist()
-            for name, values in arrays.items() if name.startswith("relay.")
-        })
+        try:
+            registry = RelayRegistry.from_payload({
+                name[len("relay."):]: values.tolist()
+                for name, values in arrays.items() if name.startswith("relay.")
+            })
+        except AnalysisError as exc:  # a node id repeated under another type
+            raise StoreError(path, f"relay.node_ids: {exc}") from exc
         if len(registry) != arrays["relay.node_ids"].shape[0]:
             raise StoreError(path, "relay registry repeats a node id")
+
+        def pool(name: str) -> Interner:
+            values = arrays[f"pool.{name}"].tolist()
+            interned = Interner(values)
+            if len(interned) != len(values):  # every later code would shift
+                raise StoreError(path, f"pool.{name} repeats a string")
+            return interned
+
         # one pools object across rounds, as in a live campaign, so the
         # campaign-level table stays a plain array concatenate
-        pools = TablePools(*(
-            Interner(arrays[f"pool.{name}"].tolist())
-            for name in ("endpoint_ids", "countries", "cities")
-        ))
+        pools = TablePools(pool("endpoint_ids"), pool("countries"), pool("cities"))
 
         def check_codes(member: str, codes: np.ndarray, limit: int, low: int = 0) -> None:
             if codes.size and not low <= codes.min() <= codes.max() < limit:

@@ -19,8 +19,7 @@ SNAPSHOT_VERSION)`` and restores it without re-running any of it:
 * **routing fabric** — the merged per-destination predecessor tables
   (``rclass`` / ``dist`` / ``next_hop``), restored as one read-only batch;
 * **attachment grid** — the ``(A x A)`` one-way delay matrix plus its
-  attachment row order, installed directly into the latency model;
-* **walk memo** — the geographic walker's memoized walk prefixes.
+  attachment row order, installed directly into the latency model.
 
 Everything else (emulators, datasets, node indexing) is rebuilt live:
 each subsystem draws from its own named seed stream
@@ -63,7 +62,7 @@ if TYPE_CHECKING:
 
 #: Bump on any change to the snapshot layout or to what must be captured;
 #: older files then miss cleanly and are rebuilt.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 #: Environment variable consulted by :func:`resolve_cache` when no explicit
 #: cache directory is given (the CLI's ``--world-cache`` wins over it).
@@ -220,18 +219,6 @@ def capture_arrays(world: "World") -> dict[str, np.ndarray]:
     arrays["grid"] = np.ascontiguousarray(grid)
     arrays["att_asn"] = np.asarray([asn for asn, _ in att_ids], dtype=np.int64)
     arrays["att_city"] = str_array([city for _, city in att_ids])
-
-    # ---- geographic walk memo
-    memo = world.fabric.walk_memo.prefixes
-    arrays["memo_src"] = str_array([src for src, _ in memo])
-    arrays["memo_path_indptr"], memo_paths = _csr(
-        path for _, path in memo
-    )
-    arrays["memo_path"] = np.asarray(memo_paths, dtype=np.int64)
-    arrays["memo_end"] = str_array([v[0] for v in memo.values()])
-    arrays["memo_km"] = np.asarray(
-        [v[2] for v in memo.values()], dtype=np.float64
-    )
     return arrays
 
 
@@ -349,7 +336,7 @@ class WorldSnapshot:
         return closed, departed
 
     def attach_routing(self, world: "World") -> None:
-        """Install the fabric tables, attachment grid and walk memo."""
+        """Install the fabric tables and the attachment grid."""
         a = self._a
         world.fabric.restore_tables(
             a["fab_dest"].tolist(),
@@ -364,18 +351,6 @@ class WorldSnapshot:
             )
         }
         world.latency.set_attachment_grid(a["grid"], att_ids)
-        memo_src = a["memo_src"].tolist()
-        if memo_src:
-            matrix = world.delay_matrix
-            indptr = a["memo_path_indptr"].tolist()
-            paths = a["memo_path"].tolist()
-            ends = a["memo_end"].tolist()
-            kms = a["memo_km"].tolist()
-            prefixes = world.fabric.walk_memo.prefixes
-            for i, src in enumerate(memo_src):
-                path = tuple(paths[indptr[i] : indptr[i + 1]])
-                end = ends[i]
-                prefixes[(src, path)] = (end, matrix.index(end), kms[i])
 
 
 # --------------------------------------------------------------- the cache

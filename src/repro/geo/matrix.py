@@ -149,18 +149,6 @@ class CityDelayMatrix:
         """
         return self.distance_km_matrix(rows, cols) / SPEED_OF_LIGHT_FIBER_KM_PER_MS
 
-    def distance_km_pairs(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Element-wise distances ``km[rows[i], cols[i]]`` (km).
-
-        The gather the latency model's batched final-segment computation
-        uses: one distance per (row, col) pair rather than a full
-        submatrix.
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        self._fill(rows)
-        return self._km[rows, cols]
-
     # -------------------------------------------------------- scalar-by-key
 
     def one_way_ms_between(self, a_key: str, b_key: str) -> float:

@@ -20,6 +20,12 @@ An RTT between two endpoints decomposes as::
 * **jitter** — per-packet multiplicative noise plus exponential queueing
   and rare heavy spikes (the outliers that justify median-of-6 batches).
 
+The network terms (propagation and per-hop processing) come from one
+place: the routing fabric's attachment grid, the one-way delay between
+every pair of ``(asn, city)`` attachments a world's nodes occupy
+(:meth:`~repro.routing.fabric.RoutingFabric.build_attachment_grid`).  The
+model adds the access, skew and per-packet terms.
+
 Base RTTs are deterministic given the world seed; only the per-packet terms
 consume random numbers at measurement time.
 """
@@ -27,15 +33,13 @@ consume random numbers at measurement time.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigError
-from repro.geo.distance import SPEED_OF_LIGHT_FIBER_KM_PER_MS
+from repro.errors import ConfigError, MeasurementError
 from repro.routing.bgp import BGPRouting
-from repro.routing.geopath import GeoPathWalker
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,45 +156,38 @@ class PairGrid:
 
 
 class LatencyModel:
-    """Computes base and sampled RTTs between :class:`Endpoint` objects."""
+    """Computes base and sampled RTTs between :class:`Endpoint` objects.
+
+    Every one-way delay is read from the installed attachment grid (see
+    :meth:`set_attachment_grid`).  ``build_grid`` is called on the first
+    query that finds no grid installed and must install one; a world
+    passes its :meth:`~repro.world.World.ensure_routing_fabric`, so its
+    callers need not build the fabric first.
+    """
 
     def __init__(
         self,
         routing: BGPRouting,
-        walker: GeoPathWalker,
         config: LatencyConfig | None = None,
+        build_grid: Callable[[], object] | None = None,
     ) -> None:
         self._routing = routing
-        self._walker = walker
         self._cfg = config or LatencyConfig()
-        # path-RTT cache keyed by (src_asn, src_city, dst_asn, dst_city)
-        self._path_cache: dict[tuple[int, str, int, str], float | None] = {}
-        # destination-city-independent walk data keyed by (src_asn,
-        # src_city, dst_asn): (prefix_km, end_idx, end_city, stretch,
-        # hop_ms), or None when unrouted.  Many quadruples differ only in
-        # the destination city (relays spread over a destination AS), so
-        # this drops their path + prefix lookups to one dict hit.
-        self._triple_cache: dict[
-            tuple[int, str, int], tuple[float, int, str, float, float] | None
-        ] = {}
-        # precomputed attachment-to-attachment one-way delay grid (built by
-        # the routing fabric; see set_attachment_grid).  Endpoints outside
-        # the grid (pipeline monitors, looking glasses) fall back to the
-        # per-key batch below.
+        self._build_grid = build_grid
+        # attachment-to-attachment one-way delay grid and its row index
         self._grid: np.ndarray | None = None
         self._grid_ids: dict[tuple[int, str], int] = {}
         # keyed by id(endpoint); _attachment_id pins every endpoint it maps
         # in _ep_refs, so an id is never reused while its entry lives
         self._att_of: dict[int, int] = {}
         # (base RTT or NaN-if-unrouted, loss probability) per ordered pair,
-        # keyed by per-endpoint cache tokens (see _endpoint_token); both
-        # values are deterministic, and the campaign re-measures the same
-        # pairs twice per round (steps 2 and 4) and the same legs round
-        # after round, so the batch sampler's per-leg loop is one dict hit
-        # on a batch-ready entry.  Token-tuple keys hash entirely in C —
-        # with Endpoint-tuple keys the interpreter pays two Python-level
-        # __hash__ calls per lookup, which profiling put near the top of
-        # the whole campaign.
+        # keyed by per-endpoint cache tokens (see _endpoint_token).  Campaign
+        # rounds gather from pair grids instead; this cache serves the
+        # per-leg resolvers, chiefly the colo pipeline's geolocation legs,
+        # which warm_pairs resolves in bulk before they are pinged one at a
+        # time.  Token-tuple keys hash entirely in C — with Endpoint-tuple
+        # keys the interpreter pays two Python-level __hash__ calls per
+        # lookup.
         self._pair_cache: dict[tuple, tuple[float, float]] = {}
         # ordered-pair skew memo as a growable code-indexed matrix: blake2b
         # per pair is the one irreducibly scalar term of the pair grid, and
@@ -261,12 +258,11 @@ class LatencyModel:
     def set_attachment_grid(
         self, grid: np.ndarray, att_ids: dict[tuple[int, str], int]
     ) -> None:
-        """Install a precomputed attachment delay grid (see
-        :meth:`RoutingFabric.build_attachment_grid`).
+        """Install a precomputed attachment delay grid.
 
-        ``grid[s, t]`` must equal what :meth:`_one_way_batch` computes for
-        the corresponding attachment pair (NaN = unrouted); the fabric's
-        vectorized builder guarantees bit-identical values.
+        ``grid[s, t]`` is the one-way network delay from attachment
+        ``att_ids``-row ``s`` to row ``t`` (NaN = unrouted), as
+        :meth:`RoutingFabric.build_attachment_grid` computes it.
         """
         self._grid = grid
         self._grid_ids = att_ids
@@ -295,90 +291,38 @@ class LatencyModel:
         """
         return self._grid is not None and list(self._grid_ids) == attachments
 
+    def _delay_grid(self) -> np.ndarray:
+        """The installed attachment grid, built through ``build_grid`` if
+        none is installed yet."""
+        if self._grid is None and self._build_grid is not None:
+            self._build_grid()
+        if self._grid is None:
+            raise MeasurementError("latency model has no attachment delay grid")
+        return self._grid
+
     def _attachment_id(self, endpoint: Endpoint) -> int:
-        """The endpoint's grid row, or -1 if outside the grid."""
+        """The endpoint's grid row.
+
+        Raises:
+            MeasurementError: naming the endpoint, if its ``(asn, city)``
+                attachment has no row.
+        """
         key = id(endpoint)
         att = self._att_of.get(key)
         if att is None:
-            att = self._grid_ids.get((endpoint.asn, endpoint.city_key), -1)
+            att = self._grid_ids.get((endpoint.asn, endpoint.city_key))
+            if att is None:
+                raise MeasurementError(
+                    f"endpoint {endpoint.node_id} (AS{endpoint.asn}, "
+                    f"{endpoint.city_key}) is on no row of the attachment grid"
+                )
             self._att_of[key] = att
             self._ep_refs.setdefault(key, endpoint)  # pin the id
         return att
 
-    def _one_way_batch(self, keys: list[tuple[int, str, int, str]]) -> list[float]:
-        """One-way network delay per ``(src_asn, src_city, dst_asn,
-        dst_city)`` key, excluding endpoint access latency.
-
-        The delay is stretched fiber along the BGP path's geographic walk
-        plus a per-AS-hop cost; NaN marks keys without a valley-free route.
-        Per key the Python work is the cached path and walk-prefix lookups;
-        the final-segment fiber delay, stretch and per-hop arithmetic run
-        as one NumPy gather over the whole miss list, in the routing
-        fabric's operation order (so attachment-grid entries are
-        bit-identical).  Results are cached per key.
-        """
-        cache = self._path_cache
-        triples = self._triple_cache
-        routing, walker = self._routing, self._walker
-        matrix = walker.matrix
-        per_hop = self._cfg.per_hop_ms
-        out = [0.0] * len(keys)
-        miss_at: list[int] = []
-        prefix_km: list[float] = []
-        end_idx: list[int] = []
-        dst_idx: list[int] = []
-        stretch: list[float] = []
-        hop_ms: list[float] = []
-        miss_keys: list[tuple[int, str, int, str]] = []
-        nan = float("nan")
-        missing = ()
-        for j, key in enumerate(keys):
-            delay = cache.get(key, missing)
-            if delay is not missing:
-                out[j] = nan if delay is None else delay
-                continue
-            src_asn, src_city, dst_asn, dst_city = key
-            triple = (src_asn, src_city, dst_asn)
-            walk = triples.get(triple, missing)
-            if walk is missing:
-                as_path = routing.path(src_asn, dst_asn)
-                if as_path is None:
-                    walk = None
-                else:
-                    end_city, end, km = walker.walk_prefix(src_city, as_path)
-                    walk = (
-                        km,
-                        end,
-                        end_city,
-                        walker.carrier_stretch(as_path[-1]),
-                        per_hop * (len(as_path) - 1),
-                    )
-                triples[triple] = walk
-            if walk is None:
-                cache[key] = None
-                out[j] = nan
-                continue
-            km, end, end_city, carrier, hops = walk
-            miss_at.append(j)
-            miss_keys.append(key)
-            prefix_km.append(km)
-            end_idx.append(end)
-            # a zero-length final segment multiplies out to +0.0, which is
-            # exact, so dst == end needs no special case
-            dst_idx.append(end if dst_city == end_city else matrix.index(dst_city))
-            stretch.append(carrier)
-            hop_ms.append(hops)
-        if miss_at:
-            seg = matrix.distance_km_pairs(end_idx, dst_idx)
-            delays = (
-                (np.asarray(prefix_km) + seg * np.asarray(stretch))
-                / SPEED_OF_LIGHT_FIBER_KM_PER_MS
-                + np.asarray(hop_ms)
-            ).tolist()
-            for j, key, delay in zip(miss_at, miss_keys, delays):
-                cache[key] = delay
-                out[j] = delay
-        return out
+    def _attachment_ids(self, endpoints: Sequence[Endpoint]) -> np.ndarray:
+        """Grid rows of ``endpoints`` (see :meth:`_attachment_id`)."""
+        return np.fromiter(map(self._attachment_id, endpoints), np.intp, len(endpoints))
 
     def _pair_entries(
         self, pairs: Sequence[tuple[Endpoint, Endpoint]]
@@ -417,30 +361,10 @@ class LatencyModel:
                 miss_by_key[key] = pair
         misses = list(miss_by_key.values())
         n = len(misses)
-        grid = self._grid
-        if grid is not None:
-            att = self._attachment_id
-            src_ids = np.fromiter((att(s) for s, _ in misses), np.intp, n)
-            dst_ids = np.fromiter((att(d) for _, d in misses), np.intp, n)
-            on_grid = (src_ids >= 0) & (dst_ids >= 0)
-            fwd = np.where(on_grid, grid[src_ids, dst_ids], np.nan)
-            rev = np.where(on_grid, grid[dst_ids, src_ids], np.nan)
-            off = np.nonzero(~on_grid)[0]
-            if off.size:
-                off_list = off.tolist()
-                off_pairs = [misses[i] for i in off_list]
-                both = self._one_way_batch(
-                    [(s.asn, s.city_key, d.asn, d.city_key) for s, d in off_pairs]
-                    + [(d.asn, d.city_key, s.asn, s.city_key) for s, d in off_pairs]
-                )
-                fwd[off] = both[: off.size]
-                rev[off] = both[off.size :]
-        else:
-            both = self._one_way_batch(
-                [(s.asn, s.city_key, d.asn, d.city_key) for s, d in misses]
-                + [(d.asn, d.city_key, s.asn, s.city_key) for s, d in misses]
-            )
-            fwd, rev = np.asarray(both[:n]), np.asarray(both[n:])
+        grid = self._delay_grid()
+        src_ids = self._attachment_ids([s for s, _ in misses])
+        dst_ids = self._attachment_ids([d for _, d in misses])
+        fwd, rev = grid[src_ids, dst_ids], grid[dst_ids, src_ids]
         cfg = self._cfg
         access = np.fromiter(
             (2.0 * (s.access_ms + d.access_ms) for s, d in misses), float, n
@@ -477,30 +401,12 @@ class LatencyModel:
     def _one_way_grid(
         self, rows: Sequence[Endpoint], cols: Sequence[Endpoint]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(rows × cols) forward and reverse one-way delay matrices.
-
-        With the attachment grid installed and every endpoint on it, both
-        matrices are two fancy-indexed gathers.  Otherwise (no fabric yet,
-        or off-grid endpoints such as pipeline monitors) every product key
-        goes through :meth:`_one_way_batch`, which serves warm keys from the
-        path cache — bit-identical values either way, NaN = unrouted.
-        """
-        r, c = len(rows), len(cols)
-        grid = self._grid
-        if grid is not None:
-            att = self._attachment_id
-            row_ids = np.fromiter((att(e) for e in rows), np.intp, r)
-            col_ids = np.fromiter((att(e) for e in cols), np.intp, c)
-            if (row_ids >= 0).all() and (col_ids >= 0).all():
-                fwd = grid[row_ids[:, np.newaxis], col_ids[np.newaxis, :]]
-                rev = grid[col_ids[np.newaxis, :], row_ids[:, np.newaxis]]
-                return fwd, rev
-        row_keys = [(e.asn, e.city_key) for e in rows]
-        col_keys = [(e.asn, e.city_key) for e in cols]
-        keys = [rk + ck for rk in row_keys for ck in col_keys]
-        keys += [ck + rk for rk in row_keys for ck in col_keys]
-        both = np.asarray(self._one_way_batch(keys))
-        return both[: r * c].reshape(r, c), both[r * c :].reshape(r, c)
+        """(rows × cols) forward and reverse one-way delay matrices: two
+        gathers from the attachment grid (NaN = unrouted)."""
+        grid = self._delay_grid()
+        row_ids = self._attachment_ids(rows)[:, np.newaxis]
+        col_ids = self._attachment_ids(cols)[np.newaxis, :]
+        return grid[row_ids, col_ids], grid[col_ids, row_ids]
 
     def _skew_grid(
         self, row_ids: Sequence[str], col_ids: Sequence[str]
@@ -549,7 +455,7 @@ class LatencyModel:
         the same ordered pair: the base assembly follows its operation order
         term by term ((fwd + rev + access) * skew factor, loss as the same
         left-to-right product), and the one-way delays come from the same
-        attachment grid / path cache.  Building the grid costs O(rows +
+        attachment grid.  Building the grid costs O(rows +
         cols) Python work per endpoint plus one cached hash per ordered
         pair; gathering a leg's entry afterwards is pure NumPy indexing,
         which is why the campaign's measurement steps use it.
@@ -706,10 +612,3 @@ class LatencyModel:
         path = self._routing.path(src.asn, dst.asn)
         # copy: the routing layer caches and reuses its path lists
         return None if path is None else list(path)
-
-    def waypoints(self, src: Endpoint, dst: Endpoint) -> list[str] | None:
-        """The city waypoints the pair's traffic follows (None if unrouted)."""
-        as_path = self._routing.path(src.asn, dst.asn)
-        if as_path is None:
-            return None
-        return self._walker.waypoints(src.city_key, as_path, dst.city_key)

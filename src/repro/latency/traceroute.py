@@ -80,10 +80,9 @@ class TracerouteEngine:
         The final hop's RTT is a direct ping of the destination and does
         not depend on the intermediate hops' probe outcomes, so this skips
         the per-hop response/jitter sampling a full :meth:`trace` pays
-        (consuming correspondingly fewer RNG values).
+        (consuming correspondingly fewer RNG values).  An unrouted pair
+        gives None without drawing from ``rng``, as in :meth:`trace`.
         """
-        if self._model.as_path(src, dst) is None:
-            return None
         return self._model.sample_rtt_ms(src, dst, rng)
 
     @staticmethod

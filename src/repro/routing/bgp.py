@@ -79,11 +79,10 @@ class BGPRouting:
         self._graph = graph
         self._fabric = fabric
         self._tables: dict[int, dict[int, Route]] = {}
-        # reconstructed paths are re-requested constantly by the latency
-        # model (every endpoint-relay attachment pair, twice per direction);
-        # cache them per (src, dst) regardless of whether they came from the
-        # fabric's predecessor arrays or the scalar walk.  Callers must not
-        # mutate the lists.
+        # reconstructed paths are re-requested (traceroutes, path-inflation
+        # analyses); cache them per (src, dst) regardless of whether they
+        # came from the fabric's predecessor arrays or the scalar walk.
+        # Callers must not mutate the lists.
         self._paths: dict[tuple[int, int], list[int] | None] = {}
 
     @property

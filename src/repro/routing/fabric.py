@@ -1,4 +1,4 @@
-"""Precomputed routing fabric: bulk valley-free tables + geopath memo.
+"""Precomputed routing fabric: bulk valley-free tables + attachment delays.
 
 :class:`~repro.routing.bgp.BGPRouting` computes one destination table at a
 time with Python heaps and dicts — fine for a handful of queries, but a
@@ -26,11 +26,11 @@ destination tables in one batched pass over NumPy arrays:
   walking a destination's predecessor list — a few list lookups — instead
   of chasing per-``(src, dst)`` cached dict entries.
 
-The fabric also owns the world's :class:`GeoWalkMemo`: the geographic path
-walker (:mod:`repro.routing.geopath`) memoizes each walk's stretched-fiber
-prefix keyed by ``(source city, AS-path hops)``, so re-walking the same AS
-path from the same city — which legs to relays in multi-city destination
-ASes trigger constantly — costs one dict hit instead of a per-hop loop.
+The fabric also builds the world's attachment grid
+(:meth:`RoutingFabric.build_attachment_grid`): the one-way network delay
+between every pair of ``(asn, city)`` attachments, walked over the
+predecessor arrays for all pairs at once.  It is the latency model's only
+source of one-way delay.
 
 Equivalence sketch for the level-synchronous relaxation: the scalar code's
 heaps order entries by ``(dist, via_asn, node)`` and settle each node on
@@ -63,24 +63,6 @@ _ORIGIN = int(RouteClass.ORIGIN)
 _CUSTOMER = int(RouteClass.CUSTOMER)
 _PEER = int(RouteClass.PEER)
 _PROVIDER = int(RouteClass.PROVIDER)
-
-
-class GeoWalkMemo:
-    """Shared memo of geographic walk prefixes.
-
-    Keys are ``(src_city_key, as_path_tuple)``; values are the walk's state
-    after the last inter-AS handover: ``(end_city_key, end_city_index,
-    stretched_km)``.  Owned by the fabric so the world can hand one memo to
-    every consumer of the path walker.
-    """
-
-    __slots__ = ("prefixes",)
-
-    def __init__(self) -> None:
-        self.prefixes: dict[tuple[str, tuple[int, ...]], tuple[str, int, float]] = {}
-
-    def __len__(self) -> int:
-        return len(self.prefixes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,7 +140,6 @@ class RoutingFabric:
         #: per-destination plain-list views for the path walk, built lazily
         self._walk_lists: dict[int, tuple[list[int], list[int], int]] = {}
         self._tables: dict[int, dict[int, Route]] = {}
-        self.walk_memo = GeoWalkMemo()
 
     # ------------------------------------------------------------- coverage
 
@@ -342,8 +323,10 @@ class RoutingFabric:
         walk that does not end at its destination after ``dist`` hops means
         the next-hop rows loop, and raises :class:`RoutingError`.  The
         walk state is freed before the grid is assembled, in row blocks,
-        into one preallocated array.  Delay assembly mirrors
-        ``LatencyModel._one_way_batch``'s operation order bit-exactly.
+        into one preallocated array.  Each cell equals, bit for bit,
+        ``walker.propagation_ms(src_city, path, dst_city) + per_hop_ms *
+        (len(path) - 1)`` over the scalar BGP path, its reference
+        (``tests/test_fabric.py``).
         """
         matrix = walker.matrix
         num = len(attachments)
@@ -426,8 +409,8 @@ class RoutingFabric:
         for lo in range(0, num, block):
             rows = slice(lo, lo + block)
             out = grid[rows]
-            # (km + seg * stretch_t) / c + per_hop_ms * hops, as the scalar
-            # resolver orders it (IEEE addition and product commute exactly)
+            # (km + seg * stretch_t) / c + per_hop_ms * hops: the scalar
+            # walk's sum (IEEE addition and product commute exactly)
             seg = np.take(end_code[rows], cols, axis=1)
             seg += att_city
             np.take(full_km, seg, out=out)

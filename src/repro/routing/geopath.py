@@ -15,16 +15,14 @@ All geometry routes through a :class:`~repro.geo.matrix.CityDelayMatrix`
 shared with the rest of the world: city-to-city distances are read from its
 cached rows instead of recomputing a haversine per lookup, and the
 hot-potato handover choice for a given (position, adjacency) combination is
-memoised outright — across the millions of path walks a campaign triggers,
-the same handovers recur constantly.
+memoised outright, since walks revisit the same handovers constantly.
 
-On top of the per-hop memoisation, whole propagation walks are memoised
-through the routing fabric's :class:`~repro.routing.fabric.GeoWalkMemo`:
-the stretched-fiber prefix of a walk (everything up to the last handover)
-depends only on ``(source city, AS-path hops)``, so legs that share a
-source city and BGP path — e.g. legs toward relays in different cities of
-one destination AS — pay the hop loop once and a single final-segment
-lookup thereafter.
+The latency model does not walk paths one at a time: its one-way delays
+come from the routing fabric's attachment grid, which walks every
+(attachment, destination) pair at once through this walker's dense
+:meth:`GeoPathWalker.hop_tables`.  :meth:`GeoPathWalker.propagation_ms`
+is that grid's scalar reference (``tests/test_fabric.py`` compares them
+cell for cell).
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ import numpy as np
 from repro.errors import RoutingError
 from repro.geo.distance import SPEED_OF_LIGHT_FIBER_KM_PER_MS
 from repro.geo.matrix import CityDelayMatrix
-from repro.routing.fabric import GeoWalkMemo
 from repro.topology.graph import ASGraph
 
 
@@ -62,9 +59,7 @@ class GeoPathWalker:
     (>= 1) applied to the geodesic fiber delay of its segments; the default
     treats every backbone as a flat 1.2x geodesic.  ``delay_matrix`` lets
     the caller share one :class:`CityDelayMatrix` across subsystems (the
-    world does); without one the walker builds its own.  ``walk_memo``
-    likewise shares the routing fabric's walk-prefix memo; without one the
-    walker keeps a private memo.
+    world does); without one the walker builds its own.
     """
 
     DEFAULT_STRETCH = 1.2
@@ -74,17 +69,10 @@ class GeoPathWalker:
         graph: ASGraph,
         stretch_of: Callable[[int], float] | None = None,
         delay_matrix: CityDelayMatrix | None = None,
-        walk_memo: GeoWalkMemo | None = None,
     ) -> None:
         self._graph = graph
         self._stretch_of = stretch_of
         self._matrix = delay_matrix if delay_matrix is not None else CityDelayMatrix()
-        # propagation-walk prefixes keyed by (src city, AS-path hops); see
-        # propagation_ms.  Shared via the world's fabric when provided.
-        # (explicit None check: an empty GeoWalkMemo is falsy)
-        self._prefix_cache = (
-            walk_memo if walk_memo is not None else GeoWalkMemo()
-        ).prefixes
         # adjacency interconnect tuples recur across walks; cache their
         # (city_key, matrix_index) pairs once per distinct tuple.
         self._candidate_cache: dict[tuple[str, ...], list[tuple[str, int]]] = {}
@@ -98,10 +86,6 @@ class GeoPathWalker:
         # carrier, so the per-hop work is one dict hit each.
         self._adjacency_cities: dict[tuple[int, int], tuple[str, ...]] = {}
         self._stretch_cache: dict[int, float] = {}
-        # fused hop transitions for the prefix walk: (position_idx, a, b) ->
-        # (new_city_key, new_idx, stretched_km_delta); one dict hit covers
-        # the adjacency lookup, the hot-potato handover and the segment km.
-        self._hop_cache: dict[tuple[int, int, int], tuple[str, int, float]] = {}
         # dense per-edge handover tables for the attachment-grid walk;
         # built lazily by hop_tables()
         self._edge_tables: tuple[dict[tuple[int, int], int], np.ndarray, np.ndarray] | None = None
@@ -276,71 +260,16 @@ class GeoPathWalker:
             self._stretch_cache[asn] = stretch
         return stretch
 
-    def walk_prefix(self, src_city: str, as_path: list[int]) -> tuple[str, int, float]:
-        """Stretched fiber km of the walk up to its last handover, memoised.
-
-        Returns ``(end_city_key, end_city_index, stretched_km)``; the
-        destination-independent part of :meth:`propagation_ms`'s sum, in
-        the same accumulation order (so memoised results are bit-identical
-        to un-memoised ones).  Memoised per ``(src_city, AS-path)`` in the
-        shared :class:`GeoWalkMemo`.
-        """
-        key = (src_city, tuple(as_path))
-        prefix = self._prefix_cache.get(key)
-        if prefix is None:
-            prefix = self._walk_prefix_uncached(src_city, as_path)
-            self._prefix_cache[key] = prefix
-        return prefix
-
-    def _hop(self, position_idx: int, position: str, a: int, b: int) -> tuple[str, int, float]:
-        """One fused prefix-walk transition (slow path of the hop cache)."""
-        cities = self._adjacency_cities.get((a, b))
-        if cities is None:
-            if not self._graph.are_adjacent(a, b):
-                raise RoutingError(f"AS{a} and AS{b} are not adjacent on the path")
-            cities = self._graph.adjacency(a, b).interconnect_cities
-            self._adjacency_cities[(a, b)] = cities
-        handover, handover_idx = self._handover(position_idx, cities)
-        if handover == position:
-            # a zero-km hop: += 0.0 keeps the accumulated km bit-exact
-            transition = (position, position_idx, 0.0)
-        else:
-            transition = (
-                handover,
-                handover_idx,
-                self._row(position_idx)[handover_idx] * self.carrier_stretch(a),
-            )
-        self._hop_cache[(position_idx, a, b)] = transition
-        return transition
-
-    def _walk_prefix_uncached(
-        self, src_city: str, as_path: list[int]
-    ) -> tuple[str, int, float]:
-        if not as_path:
-            raise RoutingError("empty AS path")
-        position = src_city
-        position_idx = self._matrix.index(src_city)
-        km_stretched = 0.0
-        hop_cache = self._hop_cache
-        for a, b in zip(as_path, as_path[1:]):
-            transition = hop_cache.get((position_idx, a, b))
-            if transition is None:
-                transition = self._hop(position_idx, position, a, b)
-            position, position_idx, delta = transition
-            km_stretched += delta
-        return position, position_idx, km_stretched
-
     def propagation_ms(self, src_city: str, as_path: list[int], dst_city: str) -> float:
         """One-way propagation delay along the path, with per-carrier
         backbone stretch applied to every segment, in ms.
 
-        The destination-independent prefix of the walk is memoised per
-        ``(src_city, AS-path)`` (see :class:`GeoWalkMemo`); only the final
-        segment to ``dst_city`` is computed per call.
+        The scalar reference of the fabric's attachment grid, which sums
+        the same stretched segments in the same order.
         """
-        end_city, end_idx, km_stretched = self.walk_prefix(src_city, as_path)
-        if dst_city != end_city:
-            km_stretched += self._row(end_idx)[
-                self._matrix.index(dst_city)
-            ] * self.carrier_stretch(as_path[-1])
+        km_stretched = 0.0
+        for _, to_city, from_idx, to_idx, carrier in self._walk(src_city, as_path, dst_city):
+            if to_idx < 0:
+                to_idx = self._matrix.index(to_city)
+            km_stretched += self._row(from_idx)[to_idx] * self.carrier_stretch(carrier)
         return km_stretched / SPEED_OF_LIGHT_FIBER_KM_PER_MS

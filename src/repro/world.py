@@ -105,9 +105,12 @@ class World:
             self.graph,
             stretch_of=self.backbone_stretch.factor,
             delay_matrix=self.delay_matrix,
-            walk_memo=self.fabric.walk_memo,
         )
-        self.latency = LatencyModel(self.routing, self.walker, config.latency)
+        #: Serves every base RTT from the attachment grid; the first query
+        #: on a world without one builds it (:meth:`ensure_routing_fabric`).
+        self.latency = LatencyModel(
+            self.routing, config.latency, build_grid=self.ensure_routing_fabric
+        )
         self.ping_engine = PingEngine(self.latency)
         self.traceroute_engine = TracerouteEngine(self.latency, self.walker)
 
@@ -203,7 +206,8 @@ class World:
         restored world, or a fabric warmed by an earlier caller — nothing
         is recomputed.  Called eagerly by
         :class:`~repro.core.campaign.MeasurementCampaign` so no round pays
-        for first-time routing computation.
+        for first-time routing computation, and by the latency model on the
+        first base-RTT query of a world that has not called it yet.
 
         On the first computation of a world built with a cache
         (:func:`build_world` ``world_cache=``), the finished state is

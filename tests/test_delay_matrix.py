@@ -156,7 +156,6 @@ class TestBatchPingEquivalence:
         """With all stochastic terms off, every batched packet is the base RTT."""
         model = LatencyModel(
             small_world.routing,
-            small_world.walker,
             LatencyConfig(
                 jitter_sigma=0.0,
                 queueing_scale_ms=0.0,
@@ -164,6 +163,8 @@ class TestBatchPingEquivalence:
                 base_loss_prob=0.0,
             ),
         )
+        small_world.ensure_routing_fabric()
+        model.set_attachment_grid(*small_world.latency.attachment_grid())
         # strip the probes' own packet loss so every packet is delivered
         src, dst = _endpoint(small_world, 0), _endpoint(small_world, 50)
         e1 = Endpoint("clean1", src.asn, src.city_key, access_ms=src.access_ms)
@@ -204,12 +205,13 @@ class TestBatchPingEquivalence:
         assert 0.75 <= loss_frac <= 0.99
 
     def test_batch_marks_unrouted_rows(self, small_world):
-        class _NoRoutes:
-            def path(self, src_asn, dst_asn):
-                return None
-
-        model = LatencyModel(_NoRoutes(), small_world.walker)
         e1, e2 = _endpoint(small_world, 0), _endpoint(small_world, 50)
+        # a grid whose every cell is unrouted
+        model = LatencyModel(small_world.routing)
+        model.set_attachment_grid(
+            np.full((2, 2), np.nan),
+            {(e1.asn, e1.city_key): 0, (e2.asn, e2.city_key): 1},
+        )
         matrix = model.sample_rtt_matrix(
             [(e1, e2), (e2, e1)], np.random.default_rng(4), 5
         )

@@ -3,17 +3,22 @@
 The fabric's batched, level-synchronous relaxation must reproduce the lazy
 scalar :class:`BGPRouting` computation *exactly* — same route classes, same
 distances, same lowest-next-hop-ASN tie-breaks — on hand-built topologies
-and on generated worlds.  The scalar code stays in the tree as the
-reference implementation precisely so this suite can compare against it.
+and on generated worlds.  Its attachment grid, the latency model's one
+source of one-way delay, must equal the scalar path walk
+(:meth:`GeoPathWalker.propagation_ms` plus the per-hop cost) cell for cell.
+The scalar code stays in the tree as the reference implementation
+precisely so this suite can compare against it.
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import TopologyError
+from repro.errors import MeasurementError, TopologyError
+from repro.latency.model import Endpoint, LatencyModel
 from repro.net.ipv4 import IPv4Prefix
 from repro.routing.bgp import BGPRouting
-from repro.routing.fabric import GeoWalkMemo, RoutingFabric
+from repro.routing.fabric import RoutingFabric
+from repro.routing.geopath import GeoPathWalker
 from repro.topology.graph import ASGraph
 from repro.topology.types import ASType, AutonomousSystem
 
@@ -166,15 +171,80 @@ class TestFabricArrays:
         assert batch.next_hop.dtype == np.int32
         assert batch.rclass.dtype == np.int8
 
-    def test_walk_memo_shared_with_walker(self, small_world):
-        memo = small_world.fabric.walk_memo
-        assert isinstance(memo, GeoWalkMemo)
-        asns = small_world.graph.asns()
-        path = small_world.routing.path(asns[-1], asns[0])
-        assert path is not None
-        src_city = small_world.graph.get_as(path[0]).primary_city
-        dst_city = small_world.graph.get_as(path[-1]).primary_city
-        before = len(memo)
-        small_world.walker.propagation_ms(src_city, path, dst_city)
-        assert len(memo) >= before  # walk prefixes land in the shared memo
-        assert (src_city, tuple(path)) in memo.prefixes
+
+def _assert_grid_is_scalar_walk(grid, att_ids, attachments, graph, walker, per_hop):
+    """Every ``attachments`` cell of ``grid`` is the scalar walk's delay
+    over a fabric-free BGP path, bit for bit, and NaN exactly when that
+    path is None.  Returns the number of unrouted pairs."""
+    reference = BGPRouting(graph)  # no fabric: the scalar computation
+    unrouted = 0
+    for src_asn, src_city in attachments:
+        row = grid[att_ids[(src_asn, src_city)]]
+        for dst_asn, dst_city in attachments:
+            cell = row[att_ids[(dst_asn, dst_city)]]
+            path = reference.path(src_asn, dst_asn)
+            if path is None:
+                assert np.isnan(cell), (src_asn, src_city, dst_asn, dst_city)
+                unrouted += 1
+                continue
+            want = walker.propagation_ms(src_city, path, dst_city) + per_hop * (
+                len(path) - 1
+            )
+            assert cell == want, (src_asn, src_city, dst_asn, dst_city)
+    return unrouted
+
+
+class TestAttachmentGrid:
+    """The grid is checked against :meth:`GeoPathWalker.propagation_ms`,
+    its live scalar reference."""
+
+    def test_cells_equal_scalar_walk_on_seeded_world(self, small_world):
+        small_world.ensure_routing_fabric()
+        grid, att_ids = small_world.latency.attachment_grid()
+        attachments = sorted(att_ids)
+        sample = attachments[:: len(attachments) // 120][:120]
+        assert len(sample) == 120  # 14,400 ordered pairs
+        _assert_grid_is_scalar_walk(
+            grid,
+            att_ids,
+            sample,
+            small_world.graph,
+            small_world.walker,
+            small_world.config.latency.per_hop_ms,
+        )
+
+    def test_unrouted_cells_are_nan(self):
+        # AS4 -> AS1 -peer- AS2 -peer- AS3 <- AS5: every path that needs
+        # both peering edges is a valley, so several pairs are unrouted
+        g = _mk_graph(5)
+        g.add_p2p(1, 2, ["Paris/FR"])
+        g.add_p2p(2, 3, ["Warsaw/PL", "Frankfurt/DE"])
+        g.add_c2p(4, 1, ["Madrid/ES"])
+        g.add_c2p(5, 3, ["Frankfurt/DE"])
+        fabric = _fabric_all(g)
+        walker = GeoPathWalker(g)
+        attachments = [
+            (asn, city) for asn in g.asns() for city in ("Frankfurt/DE", "Madrid/ES")
+        ]
+        grid, att_ids = fabric.build_attachment_grid(walker, attachments, 0.35)
+        unrouted = _assert_grid_is_scalar_walk(
+            grid, att_ids, attachments, g, walker, 0.35
+        )
+        assert 0 < unrouted < len(attachments) ** 2
+
+    def test_off_grid_endpoint_is_named(self, small_world):
+        small_world.ensure_routing_fabric()
+        _, att_ids = small_world.latency.attachment_grid()
+        stray_as = next(a for a in small_world.graph if (a.asn, a.primary_city) not in att_ids)
+        stray = Endpoint("stray-probe", stray_as.asn, stray_as.primary_city, 1.0)
+        probe = small_world.atlas.all_probes()[0].node.endpoint
+        model = small_world.latency
+        with pytest.raises(MeasurementError, match="stray-probe"):
+            model.base_rtt_ms(probe, stray)
+        with pytest.raises(MeasurementError, match="stray-probe"):
+            model.pair_grid([probe], [stray])
+
+    def test_model_without_grid_refuses(self, small_world):
+        probes = [p.node.endpoint for p in small_world.atlas.all_probes()[:2]]
+        with pytest.raises(MeasurementError, match="no attachment delay grid"):
+            LatencyModel(small_world.routing).base_rtt_ms(*probes)

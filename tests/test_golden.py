@@ -143,15 +143,15 @@ QUERY_STREAMS = {
     "reweighted": "e753c1110673fc9c5c3e48a9fa809906",
 }
 SERVICE_QUERIES = 20_000
-#: blake2b of every ``capture_arrays`` member (name, dtype, shape, bytes) of
-#: a cold seed-11 world after ``ensure_routing_fabric``: topology, fabric
-#: tables, attachment grid and walk memo.  Recorded from the dense-array
-#: fabric, the one-wavefront grid walk and the pair-by-pair IXP peering
-#: draws that the sparse relaxations, hop-sorted walk and batched draws
-#: replaced.
+#: blake2b of every ``capture_arrays`` member (name, dtype, shape, bytes)
+#: of a cold seed-11 world after ``ensure_routing_fabric``: topology, fabric
+#: tables and attachment grid, but not ``meta``, whose snapshot version is
+#: not world state.  Recorded from the dense-array fabric, the one-wavefront
+#: grid walk and the pair-by-pair IXP peering draws that the sparse
+#: relaxations, hop-sorted walk and batched draws replaced.
 WORLD_STATE = {
-    "small": "459bd827a74c056fb71b170b85ea39af",
-    "full": "a7eedfa30fa4593660388e9f3d5d8612",
+    "small": "196c1aa9f4d820317a3c264a975fd100",
+    "full": "2b1a19e559058d77912c72115da4f955",
 }
 
 #: Per round of ``small_campaign_result``: the (count, digest) of its direct
@@ -311,7 +311,7 @@ class TestColoPipeline:
 class TestBaseRtt:
     @staticmethod
     def _pairs(world) -> list[tuple[Endpoint, Endpoint]]:
-        """Every ordered pair over probes, colo interfaces, an off-grid
+        """Every ordered pair over probes, colo interfaces, the pipeline
         monitor and an ad-hoc endpoint reusing a probe's node id."""
         probes = [p.node.endpoint for p in world.atlas.all_probes()[:8]]
         colos = [i.node.endpoint for i in world.colo_pool.live_interfaces()[:6]]
@@ -326,13 +326,16 @@ class TestBaseRtt:
 
     @pytest.mark.parametrize("fabric", [False, True], ids=["no-fabric", "fabric"])
     def test_base_rtt_bits(self, small_world, fabric):
-        model = LatencyModel(
-            small_world.routing, small_world.walker, small_world.latency.config
-        )
         if fabric:
-            small_world.ensure_routing_fabric()
-            model.set_attachment_grid(*small_world.latency.attachment_grid())
-        values = [model.base_rtt_ms(s, d) for s, d in self._pairs(small_world)]
+            world = small_world
+            world.ensure_routing_fabric()
+            model = LatencyModel(world.routing, world.latency.config)
+            model.set_attachment_grid(*world.latency.attachment_grid())
+        else:
+            # a fresh world's first query builds its fabric and grid
+            world = _fresh_small_world(fabric=False)
+            model = world.latency
+        values = [model.base_rtt_ms(s, d) for s, d in self._pairs(world)]
         lines = ["None" if v is None else v.hex() for v in values]
         assert (len(lines), lines.count("None"), lines_digest(lines)) == BASE_RTT
 
@@ -370,6 +373,8 @@ def world_state_digest(config) -> str:
     world.ensure_routing_fabric()
     digest = hashlib.blake2b(digest_size=16)
     for name, arr in capture_arrays(world).items():
+        if name == "meta":
+            continue
         digest.update(name.encode())
         digest.update(str(arr.dtype).encode())
         digest.update(repr(arr.shape).encode())

@@ -191,6 +191,19 @@ def _first_set_to(column: np.ndarray, value: int) -> np.ndarray:
     return column
 
 
+def _repeat_first(pool: np.ndarray, _) -> np.ndarray:
+    """Entry 0 again at index 1, the string it displaced moved to the end."""
+    return np.concatenate((pool[:1], pool[:1], pool[2:], pool[1:2]))
+
+
+def _repeat_under_other_type(node_ids: np.ndarray, arrays) -> np.ndarray:
+    """The first relay's node id again for the first relay of another type."""
+    types = arrays["relay.relay_types"]
+    node_ids = node_ids.copy()
+    node_ids[np.flatnonzero(types != types[0])[0]] = node_ids[0]
+    return node_ids
+
+
 def _rewrite_meta(src, dst, **changes) -> None:
     arrays = {name: np.array(a) for name, a in store.read_arrays(src).items()}
     meta = json.loads(str(arrays["meta"][0]))
@@ -336,6 +349,21 @@ class TestErrorHandling:
         ],
     )
     def test_defective_table_columns(self, saved, tmp_path, member, defect):
+        error = _assert_refused(saved, tmp_path, member, defect)
+        assert member in str(error)
+
+    @pytest.mark.parametrize(
+        "member, defect",
+        [
+            pytest.param("pool.endpoint_ids", _repeat_first, id="endpoint-pool-repeats"),
+            pytest.param("pool.countries", _repeat_first, id="country-pool-repeats"),
+            pytest.param("pool.cities", _repeat_first, id="city-pool-repeats"),
+            pytest.param(
+                "relay.node_ids", _repeat_under_other_type, id="relay-id-under-two-types"
+            ),
+        ],
+    )
+    def test_defective_pools_and_registry(self, saved, tmp_path, member, defect):
         error = _assert_refused(saved, tmp_path, member, defect)
         assert member in str(error)
 

@@ -140,20 +140,22 @@ class TestCacheKeying:
 
     def test_version_bump_misses(self, warm_cache, monkeypatch):
         cache, _ = warm_cache
+        current = cache.path_for(SEED, CONFIG)
         assert cache.load(SEED, CONFIG) is not None
-        monkeypatch.setattr(worldcache, "SNAPSHOT_VERSION", 2)
-        # key now names a v2 file that does not exist
-        assert cache.load(SEED, CONFIG) is None
-        # a v1 file renamed to the v2 key still misses on its meta version
-        v2_path = cache.path_for(SEED, CONFIG)
-        v2_path.write_bytes(
-            (cache.root / f"{snapshot_key(SEED, CONFIG).replace('-v2', '-v1')}.npz")
-            .read_bytes()
+        monkeypatch.setattr(
+            worldcache, "SNAPSHOT_VERSION", worldcache.SNAPSHOT_VERSION + 1
         )
+        # key now names a next-version file that does not exist
+        assert cache.load(SEED, CONFIG) is None
+        # the current file copied to the next version's key still misses
+        # on its meta version
+        bumped = cache.path_for(SEED, CONFIG)
+        assert bumped != current
+        bumped.write_bytes(current.read_bytes())
         try:
             assert cache.load(SEED, CONFIG) is None
         finally:
-            v2_path.unlink()
+            bumped.unlink()
 
 
 class TestDefectiveFiles:
@@ -321,4 +323,13 @@ class TestSnapshotMeta:
         world = build_world(seed=SEED, config=CONFIG, world_cache=str(cache_root))
         assert not os.path.exists(cache_root)  # nothing stored yet
         world.ensure_routing_fabric()
+        assert WorldCache(cache_root).load(SEED, CONFIG) is not None
+
+    def test_miss_captures_on_first_latency_query(self, tmp_path):
+        """A world whose caller never builds the fabric (``repro funnel``)
+        builds and captures it on its first base-RTT query."""
+        cache_root = tmp_path / "armed"
+        world = build_world(seed=SEED, config=CONFIG, world_cache=str(cache_root))
+        probes = [p.node.endpoint for p in world.atlas.all_probes()[:2]]
+        assert world.latency.base_rtt_ms(*probes) is not None
         assert WorldCache(cache_root).load(SEED, CONFIG) is not None
