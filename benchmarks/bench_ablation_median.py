@@ -16,9 +16,7 @@ from repro.latency.ping import PingEngine
 
 def test_median_vs_mean_robustness(benchmark, world, report_sink):
     # a spike-heavy variant of the latency model over the world's delay grid
-    spiky_model = LatencyModel(
-        world.routing, LatencyConfig(spike_prob=0.12, spike_range_ms=(100.0, 400.0))
-    )
+    spiky_model = LatencyModel(LatencyConfig(spike_prob=0.12, spike_range_ms=(100.0, 400.0)))
     world.ensure_routing_fabric()
     spiky_model.set_attachment_grid(*world.latency.attachment_grid())
     engine = PingEngine(spiky_model)

@@ -74,35 +74,27 @@ def two_relay_study(
         chosen = rng.choice(len(pair_indices), size=max_pairs, replace=False)
         pair_indices = [pair_indices[i] for i in sorted(chosen)]
 
-    # the leg and inter-relay base RTTs form three small matrices; the
-    # O(pairs x relays^2) two-relay search is then a masked min-reduction
-    # instead of a nested Python loop (identical floats: IEEE addition and
-    # minima do not depend on the reduction shape)
-    num_r = len(relays)
-    used = sorted({i for i, _ in pair_indices} | {j for _, j in pair_indices})
-    leg_ms = np.full((len(endpoints), num_r), np.inf)
-    for i in used:
-        for k, r in enumerate(relays):
-            rtt = model.base_rtt_ms(endpoints[i], r)
-            if rtt is not None:
-                leg_ms[i, k] = rtt
-    mid_ms = np.full((num_r, num_r), np.inf)
-    for k1, r1 in enumerate(relays):
-        for k2, r2 in enumerate(relays):
-            if r1.node_id == r2.node_id:
-                continue
-            rtt = model.base_rtt_ms(r1, r2)
-            if rtt is not None:
-                mid_ms[k1, k2] = rtt
+    # direct, leg and inter-relay base RTTs come from three pair grids over
+    # the endpoints the sampled pairs use; the O(pairs x relays^2)
+    # two-relay search is then a masked min-reduction.  An unrouted leg
+    # (NaN) and a relay paired with itself cost +inf, so no minimum picks them
+    used = sorted({i for pair in pair_indices for i in pair})
+    row = {i: k for k, i in enumerate(used)}
+    sub = [endpoints[i] for i in used]
+    direct_ms = model.pair_grid(sub, sub).base.tolist()
+    leg_ms = np.nan_to_num(model.pair_grid(sub, relays).base, nan=np.inf)
+    mid_ms = np.nan_to_num(model.pair_grid(relays, relays).base, nan=np.inf)
+    ids = np.array([r.node_id for r in relays])
+    mid_ms[ids[:, np.newaxis] == ids[np.newaxis, :]] = np.inf
 
     pairs = one_improved = two_improved = 0
     extra_gains: list[float] = []
     captured = candidates = 0
     for i, j in pair_indices:
-        direct = model.base_rtt_ms(endpoints[i], endpoints[j])
-        if direct is None:
+        direct = direct_ms[row[i]][row[j]]
+        if direct != direct:
             continue
-        a, b = leg_ms[i], leg_ms[j]
+        a, b = leg_ms[row[i]], leg_ms[row[j]]
         one = float(np.min(a + b))
         # (e1 -> r1) + (r1 -> r2) + (r2 -> e2) over the full (r1, r2) grid,
         # summed left-to-right like the scalar code so floats are identical

@@ -161,28 +161,12 @@ class ColoRelayPipeline:
 
         # 5. RTT-based geolocation from same-city looking glasses
         threshold = world.config.datasets.geolocation_rtt_threshold_ms
-        targets: list[tuple[FacilityMappingRecord, int, str, MeasurementNode]] = []
+        verified: list[VerifiedColoRelay] = []
         for record in records:
             fac_id = next(iter(record.candidate_facility_ids))
             city_key = world.peeringdb.city_of(fac_id)
             node = world.node_by_ip(record.ip)
             assert node is not None  # survived the pingability filter
-            targets.append((record, fac_id, city_key, node))
-        # resolve every (LG, target) leg's deterministic base/loss entry in
-        # one batched pass, so the per-leg path resolution — the pipeline's
-        # dominant one-time cost — runs vectorized; the min-RTT loop below
-        # then hits a warm pair cache.  Warming draws no random numbers, so
-        # the loop's RNG consumption and the verified pool do not depend on
-        # it (the pool is pinned in tests/test_golden.py)
-        world.latency.warm_pairs(
-            [
-                (lg.node.endpoint, node.endpoint)
-                for _, _, city_key, node in targets
-                for lg in world.periscope.lgs_in(city_key)
-            ]
-        )
-        verified: list[VerifiedColoRelay] = []
-        for record, fac_id, city_key, node in targets:
             min_rtt = world.periscope.min_last_hop_rtt(node.endpoint, city_key, rng)
             if min_rtt is not None and min_rtt <= threshold:
                 verified.append(

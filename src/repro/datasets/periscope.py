@@ -5,9 +5,10 @@ servers; the paper uses LGs *in the same city as a candidate facility* to
 verify that a colo IP really is in that city, keeping IPs whose minimum
 last-hop traceroute RTT stays under 1 ms (Sec 2.2, last filter).  This
 substrate places LG servers in transit PoPs at a subset of facility metros
-and answers minimum-RTT queries through the traceroute engine, so city
-coverage gaps (no LG in town -> no measurement -> IP dropped) occur just
-like they did in the real study.
+and answers minimum-RTT queries through the latency model.  The last hop
+of a traceroute is the target itself, so its RTT is a ping of the target,
+sampled once per looking-glass leg.  City coverage gaps (no LG in town ->
+no measurement -> IP dropped) occur just like they did in the real study.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geo.cities import city as city_of
-from repro.latency.model import Endpoint
-from repro.latency.traceroute import TracerouteEngine
+from repro.latency.model import Endpoint, LatencyModel
 from repro.measurement.config import InfrastructureConfig
 from repro.measurement.nodes import HostAddressBook, MeasurementNode, NodeKind
 from repro.topology.builder import Topology
@@ -44,12 +44,12 @@ class Periscope:
     def __init__(
         self,
         topology: Topology,
-        traceroute: TracerouteEngine,
+        model: LatencyModel,
         address_book: HostAddressBook,
         config: InfrastructureConfig,
         seeds: SeedSequenceFactory,
     ) -> None:
-        self._traceroute = traceroute
+        self._model = model
         self._seeds = seeds
         self._lgs_by_city: dict[str, list[LookingGlass]] = {}
         self._generate(topology, address_book, config, seeds.rng("periscope.generate"))
@@ -112,12 +112,19 @@ class Periscope:
         """Minimum last-hop traceroute RTT from the city's LGs to ``target``.
 
         The paper keeps the minimum across same-city LGs "to avoid RTT
-        inflation effects affecting other LGs".  Returns None when the city
-        has no LGs or no LG obtained a response.
+        inflation effects affecting other LGs".  All LG legs are resolved
+        in one call, then sampled one packet each, in LG order, through
+        :meth:`LatencyModel.sample_rtt_entry` — an unrouted leg draws
+        nothing from ``rng``.  Returns None when the city has no LGs or no
+        LG obtained a response.
         """
+        lgs = self._lgs_by_city.get(city_key)
+        if not lgs:
+            return None
+        base, loss = self._model.leg_entries([(lg.node.endpoint, target) for lg in lgs])
         best: float | None = None
-        for lg in self._lgs_by_city.get(city_key, []):
-            rtt = self._traceroute.last_hop_rtt(lg.node.endpoint, target, rng)
+        for b, p in zip(base.tolist(), loss.tolist()):
+            rtt = self._model.sample_rtt_entry(b, p, rng)
             if rtt is not None and (best is None or rtt < best):
                 best = rtt
         return best

@@ -1,6 +1,6 @@
 """RTT model over the routed topology: deterministic base latency from
-geography + BGP, stochastic per-packet jitter/loss, and the ping and
-traceroute engines the measurement layer drives."""
+geography + BGP, stochastic per-packet jitter/loss, and the ping engine
+the measurement layer drives."""
 
 from repro._lazy import lazy_exports
 
@@ -11,8 +11,6 @@ __all__ = [
     "LatencyModel",
     "PingEngine",
     "PingResult",
-    "TracerouteEngine",
-    "TracerouteHop",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -21,6 +19,5 @@ __getattr__, __dir__ = lazy_exports(
         "repro.latency.backbone": ("BackboneStretch",),
         "repro.latency.model": ("Endpoint", "LatencyConfig", "LatencyModel"),
         "repro.latency.ping": ("PingEngine", "PingResult"),
-        "repro.latency.traceroute": ("TracerouteEngine", "TracerouteHop"),
     },
 )

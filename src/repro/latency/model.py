@@ -33,13 +33,13 @@ consume random numbers at measurement time.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigError, MeasurementError
-from repro.routing.bgp import BGPRouting
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,18 +61,10 @@ class Endpoint:
     loss_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.access_ms < 0:
-            raise ConfigError(f"negative access_ms for {self.node_id}")
+        if not 0.0 <= self.access_ms < math.inf:
+            raise ConfigError(f"access_ms {self.access_ms} not finite and >= 0 for {self.node_id}")
         if not 0.0 <= self.loss_prob < 1.0:
             raise ConfigError(f"loss_prob {self.loss_prob} outside [0, 1) for {self.node_id}")
-
-    def __hash__(self) -> int:
-        # node ids are unique per world, so hashing the id alone is
-        # consistent with field equality — and far cheaper than the
-        # generated all-fields hash on the cache-key hot path (str hashes
-        # are cached by the interpreter; the millions of per-leg cache
-        # lookups a campaign makes hit this)
-        return hash(self.node_id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,13 +96,17 @@ class LatencyConfig:
     for ~80% of pairs, matching the paper's Sec 2.5 observation."""
 
     def __post_init__(self) -> None:
-        if self.per_hop_ms < 0 or self.queueing_scale_ms < 0:
-            raise ConfigError("per-hop and queueing costs must be non-negative")
+        # every delay term is finite and non-negative; the probability
+        # range checks below reject NaN and infinities as well
+        low, high = self.spike_range_ms
+        terms = (self.per_hop_ms, self.jitter_sigma, self.queueing_scale_ms, low, high)
+        if not all(0.0 <= t < math.inf for t in terms):
+            raise ConfigError(f"latency delay terms must be finite and non-negative: {self}")
         if not 0.0 <= self.spike_prob < 1.0:
             raise ConfigError(f"spike_prob {self.spike_prob} outside [0, 1)")
         if not 0.0 <= self.base_loss_prob < 1.0:
             raise ConfigError(f"base_loss_prob {self.base_loss_prob} outside [0, 1)")
-        if self.spike_range_ms[0] > self.spike_range_ms[1]:
+        if low > high:
             raise ConfigError("spike_range_ms must be (low, high)")
         if not 0.0 <= self.asymmetry_frac < 0.5:
             raise ConfigError(f"asymmetry_frac {self.asymmetry_frac} outside [0, 0.5)")
@@ -136,15 +132,24 @@ def _intern(codes: dict[str, int], ids: Sequence[str]) -> np.ndarray:
     return np.fromiter((codes.setdefault(i, len(codes)) for i in ids), np.intp, len(ids))
 
 
+def _host_terms(endpoints: Sequence[Endpoint]) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoints' ``access_ms`` and ``loss_prob`` as two vectors."""
+    n = len(endpoints)
+    return (
+        np.fromiter((e.access_ms for e in endpoints), float, n),
+        np.fromiter((e.loss_prob for e in endpoints), float, n),
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class PairGrid:
     """Deterministic pair terms for a (rows × cols) endpoint grid.
 
     ``base[i, j]`` is the base RTT from ``rows[i]`` to ``cols[j]`` (NaN when
     either direction is unrouted) and ``loss[i, j]`` the pair's per-packet
-    loss probability — the same two values :meth:`LatencyModel._pair_entries`
-    resolves per leg, assembled once for the whole grid.  A measurement step
-    gathers its legs' entries by index.
+    loss probability — the same two values the uncached
+    :meth:`LatencyModel.leg_entries` resolves per leg, assembled once for
+    the whole grid.  A measurement step gathers its legs' entries by index.
     """
 
     base: np.ndarray  #: (rows × cols) base RTT, NaN = unrouted
@@ -163,32 +168,22 @@ class LatencyModel:
     query that finds no grid installed and must install one; a world
     passes its :meth:`~repro.world.World.ensure_routing_fabric`, so its
     callers need not build the fabric first.
+
+    Two resolvers turn endpoints into deterministic ``(base, loss)``
+    entries: :meth:`pair_grid` for a campaign round's (rows × cols) grids
+    and :meth:`leg_entries`, which has no cache, for any other leg list.
     """
 
     def __init__(
         self,
-        routing: BGPRouting,
         config: LatencyConfig | None = None,
         build_grid: Callable[[], object] | None = None,
     ) -> None:
-        self._routing = routing
         self._cfg = config or LatencyConfig()
         self._build_grid = build_grid
         # attachment-to-attachment one-way delay grid and its row index
         self._grid: np.ndarray | None = None
         self._grid_ids: dict[tuple[int, str], int] = {}
-        # keyed by id(endpoint); _attachment_id pins every endpoint it maps
-        # in _ep_refs, so an id is never reused while its entry lives
-        self._att_of: dict[int, int] = {}
-        # (base RTT or NaN-if-unrouted, loss probability) per ordered pair,
-        # keyed by per-endpoint cache tokens (see _endpoint_token).  Campaign
-        # rounds gather from pair grids instead; this cache serves the
-        # per-leg resolvers, chiefly the colo pipeline's geolocation legs,
-        # which warm_pairs resolves in bulk before they are pinged one at a
-        # time.  Token-tuple keys hash entirely in C — with Endpoint-tuple
-        # keys the interpreter pays two Python-level __hash__ calls per
-        # lookup.
-        self._pair_cache: dict[tuple, tuple[float, float]] = {}
         # ordered-pair skew memo as a growable code-indexed matrix: blake2b
         # per pair is the one irreducibly scalar term of the pair grid, and
         # campaign rounds revisit mostly-overlapping endpoint/relay sets —
@@ -200,11 +195,6 @@ class LatencyModel:
         self._skew_rows: dict[str, int] = {}
         self._skew_cols: dict[str, int] = {}
         self._skew_memo: np.ndarray = np.full((0, 0), np.nan)
-        # endpoint-token memo: id(endpoint) -> token, with a strong
-        # reference pinning each memoized object so ids are never reused
-        self._ep_tokens: dict[int, object] = {}
-        self._ep_refs: dict[int, Endpoint] = {}
-        self._ep_owner: dict[str, Endpoint] = {}
 
     @property
     def config(self) -> LatencyConfig:
@@ -223,37 +213,10 @@ class LatencyModel:
         effects, which is all that distinguishes the two ping directions.
         Returns None when either direction lacks a valley-free route.
         """
-        base = self._pair_entries(((src, dst),))[0][0]
+        base = float(self.leg_entries([(src, dst)])[0][0])
         return None if base != base else base
 
-    def _endpoint_token(self, endpoint: Endpoint) -> object:
-        """A hashable pair-cache token for an endpoint, memoized by object.
-
-        The world's endpoints are singletons with unique node ids, so the
-        token is normally just the id string (hashed in C, no Python
-        ``__hash__`` frame).  An ad-hoc endpoint reusing a known node id
-        with different fields (tests do this to pin the pair skew) gets a
-        full-fidelity tuple instead, so it can never collide with the
-        original.  Memoized entries hold a strong reference to their
-        endpoint, which pins ``id(endpoint)`` for the model's lifetime.
-        """
-        owner = self._ep_owner.setdefault(endpoint.node_id, endpoint)
-        if owner is endpoint or owner == endpoint:
-            token: object = endpoint.node_id
-        else:
-            token = (
-                endpoint.node_id,
-                endpoint.asn,
-                endpoint.city_key,
-                endpoint.access_ms,
-                endpoint.loss_prob,
-            )
-        key = id(endpoint)
-        self._ep_tokens[key] = token
-        self._ep_refs[key] = endpoint
-        return token
-
-    # ------------------------------------------------------- batched base RTT
+    # ------------------------------------------------------ attachment grid
 
     def set_attachment_grid(
         self, grid: np.ndarray, att_ids: dict[tuple[int, str], int]
@@ -266,7 +229,6 @@ class LatencyModel:
         """
         self._grid = grid
         self._grid_ids = att_ids
-        self._att_of = {}
 
     def attachment_grid(
         self,
@@ -307,106 +269,64 @@ class LatencyModel:
             MeasurementError: naming the endpoint, if its ``(asn, city)``
                 attachment has no row.
         """
-        key = id(endpoint)
-        att = self._att_of.get(key)
+        att = self._grid_ids.get((endpoint.asn, endpoint.city_key))
         if att is None:
-            att = self._grid_ids.get((endpoint.asn, endpoint.city_key))
-            if att is None:
-                raise MeasurementError(
-                    f"endpoint {endpoint.node_id} (AS{endpoint.asn}, "
-                    f"{endpoint.city_key}) is on no row of the attachment grid"
-                )
-            self._att_of[key] = att
-            self._ep_refs.setdefault(key, endpoint)  # pin the id
+            raise MeasurementError(
+                f"endpoint {endpoint.node_id} (AS{endpoint.asn}, "
+                f"{endpoint.city_key}) is on no row of the attachment grid"
+            )
         return att
 
     def _attachment_ids(self, endpoints: Sequence[Endpoint]) -> np.ndarray:
         """Grid rows of ``endpoints`` (see :meth:`_attachment_id`)."""
         return np.fromiter(map(self._attachment_id, endpoints), np.intp, len(endpoints))
 
-    def _pair_entries(
-        self, pairs: Sequence[tuple[Endpoint, Endpoint]]
-    ) -> list[tuple[float, float]]:
-        """``(base-or-NaN, loss)`` per pair, computing uncached ones in bulk.
+    # ------------------------------------------------------------ resolvers
 
-        The one resolver for arbitrary leg lists: :meth:`base_rtt_ms`,
-        :meth:`sample_rtt_matrix` and :meth:`warm_pairs` all go through it,
-        while measurement rounds gather from a :meth:`pair_grid` instead.
-        Base-RTT assembly ``(forward + reverse + access) * skew factor``
-        runs as NumPy elementwise expressions in the same operation order
-        as :meth:`pair_grid`, so both give bit-identical entries.  One
-        cache pass serves the whole (mostly-warm) leg list.
+    def _entries(
+        self,
+        fwd: np.ndarray,
+        rev: np.ndarray,
+        skew: np.ndarray,
+        src: tuple[np.ndarray, np.ndarray],
+        dst: tuple[np.ndarray, np.ndarray],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(base, loss)`` from gathered one-way delays and skew units.
+
+        ``src`` and ``dst`` are the two sides' :func:`_host_terms`, shaped
+        to broadcast against ``fwd``.  Both resolvers assemble their
+        entries here, so a leg's entry is the same bits whichever of them
+        resolves it.
         """
-        cache = self._pair_cache
-        tokens = self._ep_tokens
-        token_of = self._endpoint_token
-        keys = []
-        append_key = keys.append
-        for s, d in pairs:
-            t1 = tokens.get(id(s))
-            if t1 is None:
-                t1 = token_of(s)
-            t2 = tokens.get(id(d))
-            if t2 is None:
-                t2 = token_of(d)
-            append_key((t1, t2))
-        entries = [cache.get(k) for k in keys]
-        if None not in entries:
-            return entries
-        # dedup misses preserving first-seen order, keeping one
-        # representative Endpoint pair per key
-        miss_by_key: dict[tuple, tuple[Endpoint, Endpoint]] = {}
-        for key, pair, entry in zip(keys, pairs, entries):
-            if entry is None and key not in miss_by_key:
-                miss_by_key[key] = pair
-        misses = list(miss_by_key.values())
-        n = len(misses)
-        grid = self._delay_grid()
-        src_ids = self._attachment_ids([s for s, _ in misses])
-        dst_ids = self._attachment_ids([d for _, d in misses])
-        fwd, rev = grid[src_ids, dst_ids], grid[dst_ids, src_ids]
         cfg = self._cfg
-        access = np.fromiter(
-            (2.0 * (s.access_ms + d.access_ms) for s, d in misses), float, n
-        )
-        skew = np.fromiter(
-            (_pair_unit_hash(s.node_id, d.node_id) for s, d in misses), float, n
-        )
-        base = (fwd + rev + access) * (
+        base = (fwd + rev + 2.0 * (src[0] + dst[0])) * (
             1.0 + (2.0 * skew - 1.0) * cfg.asymmetry_frac
         )
-        # loss stays scalar-per-pair: loss_probability's left-to-right
-        # product is the association pair_grid's loss matrix reproduces
-        loss = [self.loss_probability(s, d) for s, d in misses]
-        for key, b, p in zip(miss_by_key, base.tolist(), loss):
-            cache[key] = (b, p)
-        return [
-            e if e is not None else cache[k] for k, e in zip(keys, entries)
-        ]
+        loss = 1.0 - (1.0 - cfg.base_loss_prob) * (1.0 - src[1]) * (1.0 - dst[1])
+        return base, loss
 
-    def warm_pairs(self, pairs: Sequence[tuple[Endpoint, Endpoint]]) -> None:
-        """Resolve a leg list's deterministic (base, loss) entries in bulk.
-
-        Purely a cache warmer: subsequent scalar calls
-        (:meth:`sample_rtt_ms`, :meth:`base_rtt_ms`) for the same pairs hit
-        the pair cache and return bit-identical values while consuming the
-        RNG exactly as before.  The colo pipeline's geolocation filter uses
-        this to batch its one-time verification without perturbing the
-        verified pool (see :class:`~repro.core.colo.ColoRelayPipeline`).
-        """
-        self._pair_entries(pairs)
-
-    # ----------------------------------------------------------- pair grid
-
-    def _one_way_grid(
-        self, rows: Sequence[Endpoint], cols: Sequence[Endpoint]
+    def leg_entries(
+        self, legs: Sequence[tuple[Endpoint, Endpoint]]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(rows × cols) forward and reverse one-way delay matrices: two
-        gathers from the attachment grid (NaN = unrouted)."""
+        """``(base, loss)`` vectors for an arbitrary leg list, NaN base = unrouted.
+
+        The resolver for every leg list outside a campaign round's pair
+        grids: :meth:`base_rtt_ms`, :meth:`sample_rtt_ms`,
+        :meth:`sample_rtt_matrix` (relay-liveness sweeps) and Periscope's
+        geolocation legs.  It has no cache: each call is two gathers from
+        the attachment grid, one pair hash per leg and the same vectorized
+        assembly :meth:`pair_grid` runs, so entries are bit-identical to
+        the grid cell of the same ordered pair.
+        """
+        srcs = [s for s, _ in legs]
+        dsts = [d for _, d in legs]
         grid = self._delay_grid()
-        row_ids = self._attachment_ids(rows)[:, np.newaxis]
-        col_ids = self._attachment_ids(cols)[np.newaxis, :]
-        return grid[row_ids, col_ids], grid[col_ids, row_ids]
+        src_ids, dst_ids = self._attachment_ids(srcs), self._attachment_ids(dsts)
+        skew = np.fromiter(
+            (_pair_unit_hash(s.node_id, d.node_id) for s, d in legs), float, len(legs)
+        )
+        fwd, rev = grid[src_ids, dst_ids], grid[dst_ids, src_ids]
+        return self._entries(fwd, rev, skew, _host_terms(srcs), _host_terms(dsts))
 
     def _skew_grid(
         self, row_ids: Sequence[str], col_ids: Sequence[str]
@@ -451,32 +371,23 @@ class LatencyModel:
     ) -> PairGrid:
         """Base-RTT and loss matrices for every ordered (row, col) pair.
 
-        Entries are bit-identical to what :meth:`_pair_entries` resolves for
-        the same ordered pair: the base assembly follows its operation order
-        term by term ((fwd + rev + access) * skew factor, loss as the same
-        left-to-right product), and the one-way delays come from the same
-        attachment grid.  Building the grid costs O(rows +
-        cols) Python work per endpoint plus one cached hash per ordered
-        pair; gathering a leg's entry afterwards is pure NumPy indexing,
-        which is why the campaign's measurement steps use it.
+        Entries are bit-identical to what :meth:`leg_entries` resolves for
+        the same ordered pair: both read the same attachment grid and
+        assemble in the same place.  Unlike :meth:`leg_entries`, which has
+        no cache, the grid takes its skew units from a memo that campaign
+        rounds keep warm, so building it costs O(rows + cols) Python work
+        per endpoint plus one hash per *new* ordered pair; gathering a
+        leg's entry afterwards is pure NumPy indexing, which is why the
+        campaign's measurement steps use it.
         """
-        r, c = len(rows), len(cols)
-        fwd, rev = self._one_way_grid(rows, cols)
-        access = 2.0 * (
-            np.fromiter((e.access_ms for e in rows), float, r)[:, np.newaxis]
-            + np.fromiter((e.access_ms for e in cols), float, c)[np.newaxis, :]
-        )
-        skew = self._skew_grid(
-            [e.node_id for e in rows], [e.node_id for e in cols]
-        )
-        cfg = self._cfg
-        base = (fwd + rev + access) * (
-            1.0 + (2.0 * skew - 1.0) * cfg.asymmetry_frac
-        )
-        loss = 1.0 - (
-            (1.0 - cfg.base_loss_prob)
-            * (1.0 - np.fromiter((e.loss_prob for e in rows), float, r))[:, np.newaxis]
-            * (1.0 - np.fromiter((e.loss_prob for e in cols), float, c))[np.newaxis, :]
+        grid = self._delay_grid()
+        row_ids = self._attachment_ids(rows)[:, np.newaxis]
+        col_ids = self._attachment_ids(cols)[np.newaxis, :]
+        skew = self._skew_grid([e.node_id for e in rows], [e.node_id for e in cols])
+        src = tuple(v[:, np.newaxis] for v in _host_terms(rows))
+        dst = tuple(v[np.newaxis, :] for v in _host_terms(cols))
+        base, loss = self._entries(
+            grid[row_ids, col_ids], grid[col_ids, row_ids], skew, src, dst
         )
         return PairGrid(base=base, loss=loss)
 
@@ -500,10 +411,22 @@ class LatencyModel:
         packet's jitter draw, so the caller controls determinism by handing
         in a named stream.
         """
-        base = self.base_rtt_ms(src, dst)
-        if base is None:
+        base, loss = self.leg_entries([(src, dst)])
+        return self.sample_rtt_entry(float(base[0]), float(loss[0]), rng)
+
+    def sample_rtt_entry(
+        self, base: float, loss: float, rng: np.random.Generator
+    ) -> float | None:
+        """One ping outcome for a leg whose ``(base, loss)`` entry is given.
+
+        The scalar tail of :meth:`sample_rtt_ms`: an unrouted leg (NaN
+        ``base``) gives None without drawing from ``rng``; a routed one
+        draws a loss uniform, then jitter, queueing and a spike uniform
+        for a delivered packet — the same draws in the same order.
+        """
+        if base != base:
             return None
-        if rng.random() < self.loss_probability(src, dst):
+        if rng.random() < loss:
             return None
         cfg = self._cfg
         rtt = base * float(rng.lognormal(mean=0.0, sigma=cfg.jitter_sigma))
@@ -549,12 +472,9 @@ class LatencyModel:
         differ from it while every per-packet distribution is unchanged;
         same-seed runs of this engine are bit-identical to each other.
         """
-        n = len(pairs)
-        if n == 0:
-            return np.full((n, count), np.nan)
-        entries = self._pair_entries(pairs)
-        base = np.fromiter((e[0] for e in entries), float, n)
-        loss = np.fromiter((e[1] for e in entries), float, n)
+        if not pairs:
+            return np.full((0, count), np.nan)
+        base, loss = self.leg_entries(pairs)
         return self.sample_rtt_entries(base, loss, rng, count)
 
     def sample_rtt_entries(
@@ -604,11 +524,3 @@ class LatencyModel:
             return rtt
         out[routed] = rtt
         return out
-
-    # ------------------------------------------------------------- insight
-
-    def as_path(self, src: Endpoint, dst: Endpoint) -> list[int] | None:
-        """The BGP AS path the pair's traffic follows (None if unrouted)."""
-        path = self._routing.path(src.asn, dst.asn)
-        # copy: the routing layer caches and reuses its path lists
-        return None if path is None else list(path)

@@ -10,6 +10,7 @@ twice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -113,7 +114,7 @@ class InfrastructureConfig:
             "lg_access_ms",
         ):
             low, high = getattr(self, name)
-            if low < 0 or high < low:
+            if not 0 <= low <= high < math.inf:
                 raise ConfigError(f"{name}=({low}, {high}) is not a valid range")
         for name in (
             "core_probe_prob",

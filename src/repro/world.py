@@ -33,7 +33,6 @@ from repro.geo.matrix import CityDelayMatrix
 from repro.latency.backbone import BackboneStretch
 from repro.latency.model import LatencyConfig, LatencyModel
 from repro.latency.ping import PingEngine
-from repro.latency.traceroute import TracerouteEngine
 from repro.measurement.atlas import RipeAtlasEmulator
 from repro.measurement.colo import ColoInterfacePool
 from repro.measurement.config import InfrastructureConfig
@@ -108,11 +107,8 @@ class World:
         )
         #: Serves every base RTT from the attachment grid; the first query
         #: on a world without one builds it (:meth:`ensure_routing_fabric`).
-        self.latency = LatencyModel(
-            self.routing, config.latency, build_grid=self.ensure_routing_fabric
-        )
+        self.latency = LatencyModel(config.latency, build_grid=self.ensure_routing_fabric)
         self.ping_engine = PingEngine(self.latency)
-        self.traceroute_engine = TracerouteEngine(self.latency, self.walker)
 
         book = HostAddressBook(self.graph)
         self.atlas = RipeAtlasEmulator(
@@ -136,7 +132,7 @@ class World:
             self.topology, self.colo_pool, config.datasets, self.seeds
         )
         self.periscope = Periscope(
-            self.topology, self.traceroute_engine, book, config.infrastructure, self.seeds
+            self.topology, self.latency, book, config.infrastructure, self.seeds
         )
         self.apnic = ApnicCoverage(self.topology, self.seeds)
 

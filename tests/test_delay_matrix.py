@@ -155,7 +155,6 @@ class TestBatchPingEquivalence:
     def test_noiseless_batch_equals_base(self, small_world):
         """With all stochastic terms off, every batched packet is the base RTT."""
         model = LatencyModel(
-            small_world.routing,
             LatencyConfig(
                 jitter_sigma=0.0,
                 queueing_scale_ms=0.0,
@@ -207,7 +206,7 @@ class TestBatchPingEquivalence:
     def test_batch_marks_unrouted_rows(self, small_world):
         e1, e2 = _endpoint(small_world, 0), _endpoint(small_world, 50)
         # a grid whose every cell is unrouted
-        model = LatencyModel(small_world.routing)
+        model = LatencyModel()
         model.set_attachment_grid(
             np.full((2, 2), np.nan),
             {(e1.asn, e1.city_key): 0, (e2.asn, e2.city_key): 1},
@@ -217,6 +216,14 @@ class TestBatchPingEquivalence:
         )
         assert matrix.shape == (2, 5)
         assert np.all(np.isnan(matrix))
+        # the scalar samplers return None for an unrouted leg and draw
+        # nothing: the geolocation filter's RNG order rests on this
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        assert model.sample_rtt_ms(e1, e2, rng) is None
+        base, loss = model.leg_entries([(e2, e1)])
+        assert model.sample_rtt_entry(float(base[0]), float(loss[0]), rng) is None
+        assert rng.bit_generator.state == state
 
     def test_ping_batch_semantics(self, small_world):
         engine = PingEngine(small_world.latency)

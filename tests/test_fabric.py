@@ -247,4 +247,4 @@ class TestAttachmentGrid:
     def test_model_without_grid_refuses(self, small_world):
         probes = [p.node.endpoint for p in small_world.atlas.all_probes()[:2]]
         with pytest.raises(MeasurementError, match="no attachment delay grid"):
-            LatencyModel(small_world.routing).base_rtt_ms(*probes)
+            LatencyModel().base_rtt_ms(*probes)

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro import CampaignConfig, MeasurementCampaign, build_world
+from repro.analysis.multihop import two_relay_study
 from repro.analysis.stability import StabilityAnalysis
 from repro.core.colo import ColoRelayPipeline
 from repro.core.io import load_result, save_result
@@ -68,6 +69,12 @@ COLO_VERIFIED = (165, "94b0b0618bb652229536b3d06de17956")
 SYMMETRY = (91, "632be54ed7d365c45b6eae09bb954494")
 #: (ordered pairs, unrouted, digest) of ``base_rtt_ms`` as ``float.hex``.
 BASE_RTT = (240, 0, "147150b758eba9d7d7719fc827738b0a")
+#: ``two_relay_study`` over 16 small-world probes and 30 live colo
+#: interfaces with ``default_rng(1)`` (both the pair and the relay samples
+#: draw): (pairs, one_relay_improved, two_relay_improved,
+#: extra_gain_ms_median.hex(), one_relay_captures_frac.hex()).  Recorded
+#: from the study's nested per-pair ``base_rtt_ms`` loops.
+MULTIHOP = (60, 15, 15, "0x0.0p+0", "0x1.a000000000000p-1")
 #: ``evaluate_prediction`` on the small campaign:
 #: (evaluated, hit_at_k, captured_gain_frac.hex()).
 PREDICTION_SCORES = {
@@ -329,7 +336,7 @@ class TestBaseRtt:
         if fabric:
             world = small_world
             world.ensure_routing_fabric()
-            model = LatencyModel(world.routing, world.latency.config)
+            model = LatencyModel(world.latency.config)
             model.set_attachment_grid(*world.latency.attachment_grid())
         else:
             # a fresh world's first query builds its fabric and grid
@@ -338,6 +345,23 @@ class TestBaseRtt:
         values = [model.base_rtt_ms(s, d) for s, d in self._pairs(world)]
         lines = ["None" if v is None else v.hex() for v in values]
         assert (len(lines), lines.count("None"), lines_digest(lines)) == BASE_RTT
+
+
+class TestMultiHop:
+    def test_two_relay_study(self, small_world):
+        probes = [p.node.endpoint for p in small_world.atlas.all_probes()[:16]]
+        relays = [i.node.endpoint for i in small_world.colo_pool.live_interfaces()[:30]]
+        study = two_relay_study(
+            small_world.latency, probes, relays, np.random.default_rng(1)
+        )
+        got = (
+            study.pairs,
+            study.one_relay_improved,
+            study.two_relay_improved,
+            study.extra_gain_ms_median.hex(),
+            study.one_relay_captures_frac.hex(),
+        )
+        assert got == MULTIHOP
 
 
 class TestPrediction:

@@ -6,6 +6,7 @@ from repro.errors import ConfigError, MeasurementError
 from repro.latency.backbone import STRETCH_RANGES, BackboneStretch
 from repro.latency.model import Endpoint, LatencyConfig
 from repro.latency.ping import PingEngine, PingResult
+from repro.measurement.config import InfrastructureConfig
 from repro.topology.types import ASType
 
 
@@ -29,6 +30,20 @@ class TestEndpointValidation:
         with pytest.raises(ConfigError):
             Endpoint("x", 1, "London/GB", access_ms=0.0, loss_prob=1.0)
 
+    @pytest.mark.parametrize("access_ms", [float("nan"), float("inf")])
+    def test_non_finite_access_rejected(self, access_ms):
+        with pytest.raises(ConfigError, match="access_ms"):
+            Endpoint("x", 1, "London/GB", access_ms=access_ms)
+
+    @pytest.mark.parametrize(
+        "field", ["probe_access_ms", "planetlab_access_ms", "colo_access_ms", "lg_access_ms"]
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_access_range_rejected(self, field, bad):
+        # the range every endpoint of that kind draws its access_ms from
+        with pytest.raises(ConfigError, match=field):
+            InfrastructureConfig(**{field: (0.5, bad)})
+
 
 class TestLatencyConfigValidation:
     def test_defaults_valid(self):
@@ -41,6 +56,25 @@ class TestLatencyConfigValidation:
     def test_bad_asymmetry(self):
         with pytest.raises(ConfigError):
             LatencyConfig(asymmetry_frac=0.6)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"jitter_sigma": -0.1},
+            {"spike_prob": 0.5, "spike_range_ms": (-400.0, -300.0)},
+            {"spike_range_ms": (-10.0, 300.0)},
+            {"spike_range_ms": (float("nan"), 300.0)},
+            {"spike_range_ms": (30.0, float("inf"))},
+            {"per_hop_ms": float("nan")},
+            {"per_hop_ms": float("inf")},
+            {"jitter_sigma": float("nan")},
+            {"queueing_scale_ms": float("nan")},
+        ],
+        ids=lambda fields: ",".join(f"{k}={v}" for k, v in fields.items()).replace(" ", ""),
+    )
+    def test_unsamplable_values_rejected(self, fields):
+        with pytest.raises(ConfigError):
+            LatencyConfig(**fields)
 
 
 class TestBaseRtt:
@@ -175,10 +209,7 @@ class TestPingEngine:
         # force frequent spikes; the median of 6 should stay near base
         from repro.latency.model import LatencyModel
 
-        spiky = LatencyModel(
-            small_world.routing,
-            LatencyConfig(spike_prob=0.3, spike_range_ms=(200.0, 400.0)),
-        )
+        spiky = LatencyModel(LatencyConfig(spike_prob=0.3, spike_range_ms=(200.0, 400.0)))
         small_world.ensure_routing_fabric()
         spiky.set_attachment_grid(*small_world.latency.attachment_grid())
         engine = PingEngine(spiky)
@@ -219,24 +250,36 @@ class TestBackboneStretch:
 
 
 class TestPairGrid:
-    """The grid-indexed base/skew path must be bit-identical to the
-    per-leg pair-cache path it replaces."""
+    """The grid resolver and the uncached per-leg resolver must give the
+    same bits for every ordered pair."""
 
     @pytest.fixture(scope="class")
     def grid_endpoints(self, small_world):
         probes = small_world.atlas.all_probes()[:12]
         return [p.node.endpoint for p in probes]
 
-    def test_entries_match_pair_cache(self, small_world, grid_endpoints):
+    def test_leg_entries_match_grid(self, small_world, grid_endpoints):
+        """Every ``leg_entries`` entry is the grid cell of its ordered pair,
+        also for repeated legs, both directions of a leg and an endpoint
+        that reuses a grid endpoint's node id with other host terms."""
         model = small_world.latency
-        rows, cols = grid_endpoints[:6], grid_endpoints[6:]
-        grid = model.pair_grid(rows, cols)
-        pairs = [(s, d) for s in rows for d in cols]
-        entries = model._pair_entries(pairs)
-        base = np.array([e[0] for e in entries]).reshape(grid.shape)
-        loss = np.array([e[1] for e in entries]).reshape(grid.shape)
-        assert np.array_equal(grid.base, base, equal_nan=True)
-        assert np.array_equal(grid.loss, loss)
+        first = grid_endpoints[0]
+        reuse = Endpoint(
+            first.node_id, first.asn, first.city_key, first.access_ms + 10.0, 0.25
+        )
+        endpoints = grid_endpoints + [reuse]
+        last = len(endpoints) - 1
+        grid = model.pair_grid(endpoints, endpoints)
+        legs = [(i, j) for i in range(6) for j in range(6, 12)]
+        legs += [(j, i) for i, j in legs[:5]] + legs[:7]
+        legs += [(last, 6), (6, last), (last, 0), (0, last), (last, last)]
+        base, loss = model.leg_entries([(endpoints[i], endpoints[j]) for i, j in legs])
+        rows, cols = np.array(legs).T
+        assert base.tobytes() == grid.base[rows, cols].tobytes()
+        assert loss.tobytes() == grid.loss[rows, cols].tobytes()
+        # the reused node id resolves with its own host terms
+        assert grid.base[last, 6] != grid.base[0, 6]
+        assert grid.loss[last, 6] != grid.loss[0, 6]
 
     def test_entries_match_with_attachment_grid(self, grid_endpoints, small_world):
         small_world.ensure_routing_fabric()

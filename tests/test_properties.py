@@ -555,7 +555,7 @@ class TestMedianColumns:
         st.lists(st.text(alphabet="ab|\u00e9\u4e2d\U0001f600", max_size=6), max_size=6),
     )
     def test_skew_grid_equals_pair_hash(self, row_ids, col_ids):
-        model = LatencyModel(None, None)
+        model = LatencyModel()
         want = [
             [latency_model._pair_unit_hash(a, b) for b in col_ids] for a in row_ids
         ]
