@@ -8,10 +8,10 @@ the fraction of large (>100 ms) gains, and the median count of improving
 relays per pair (the relay-redundancy observation).
 
 All statistics are NumPy reductions over the campaign's columnar
-:class:`~repro.core.table.ObservationTable` — the per-case maxima, masks
-and medians come straight from the CSR improving block and the per-type
-columns, with the same values (to the bit) the object-walking
-implementation produced.
+:class:`~repro.core.table.ObservationTable` — the per-case maxima of all
+four relay types come from one segment max over the CSR improving block,
+and the masks and medians from the per-type columns, with the same values
+(to the bit) the object-walking implementation produced.
 """
 
 from __future__ import annotations
@@ -36,7 +36,14 @@ def _median_of_column(values: np.ndarray) -> float:
 
 
 class ImprovementAnalysis:
-    """Fig. 2-style improvement statistics over a campaign result."""
+    """Fig. 2-style improvement statistics over a campaign result.
+
+    Construction takes every type's best gain per improved case from one
+    ``maximum.reduceat`` over the table's non-empty CSR groups
+    (:meth:`~repro.core.table.ObservationTable.best_gain_per_improved_case`)
+    and attaches nothing to the table, so a pooled sweep table leaves the
+    report as large as it entered.
+    """
 
     def __init__(self, result: CampaignResult | ObservationTable) -> None:
         table = result if isinstance(result, ObservationTable) else result.table
@@ -44,12 +51,12 @@ class ImprovementAnalysis:
             raise AnalysisError("campaign result has no observations")
         self._table = table
         # per type: improvement of each improved case's best relay, in case
-        # order (CSR segment maxima — identical floats to the object walk's
+        # order (identical floats to the object walk's
         # ``max(gain for _, gain in entries)``)
-        self._best_improvements: dict[RelayType, np.ndarray] = {}
-        for code, relay_type in enumerate(RELAY_TYPE_ORDER):
-            _, gains = table.best_gain_per_improved_case(code)
-            self._best_improvements[relay_type] = gains
+        best = table.best_gain_per_improved_case()
+        self._best_improvements: dict[RelayType, np.ndarray] = {
+            relay_type: best[code][1] for code, relay_type in enumerate(RELAY_TYPE_ORDER)
+        }
 
     @classmethod
     def from_table(cls, table: ObservationTable) -> ImprovementAnalysis:

@@ -69,8 +69,8 @@ def scenario_report(table: ObservationTable) -> tuple[dict, dict[str, bool]]:
     Metrics are identity-free fractions/gains, so they are meaningful on
     cross-seed pooled tables whether or not relay identities were
     unified first (the sweep unifies; see
-    :func:`repro.core.results.unify_relay_identities`).  Shape
-    keys (each a plain boolean):
+    :func:`repro.core.results.pool_worlds`).  Nothing is left attached
+    to ``table``.  Shape keys (each a plain boolean):
 
     * ``cases_observed`` — the campaign produced observations at all;
     * ``cor_wins_majority`` — colo relays improve more than half of all

@@ -196,26 +196,30 @@ class RelayRegistry:
         return iter(self._records)
 
 
-def unify_relay_identities(
+def pool_worlds(
     tables: list[ObservationTable],
     registries: list[RelayRegistry],
-) -> tuple[list[ObservationTable], RelayRegistry, dict[str, int]]:
-    """Re-key per-world tables onto one unified relay registry.
+) -> tuple[ObservationTable, RelayRegistry, dict[str, int]]:
+    """Pool per-world tables into one cross-world table on one registry.
 
     Each world (seed) registers relays independently, so registry index
     ``7`` means a different relay in every world and a naive cross-world
     table concat silently aliases them.  ``(node_id, relay_type)`` is the
     stable identity (the same synthetic Internet node reappears across
     seeds; its role is part of the identity since worlds may cast it
-    differently), so the unification absorbs every registry into one —
-    first world first — and remaps each table's ``imp_relay`` /
-    ``best_relay`` columns through the absorb mapping.
+    differently), so pooling absorbs every registry into one — first
+    world first — and writes each world's columns once into the pooled
+    table, re-keying ``imp_relay`` / ``best_relay`` through the absorb
+    mapping and string codes through a union pool on the way in (see
+    :meth:`ObservationTable.concat`).  ``tables`` is emptied as the worlds
+    are written, so a world the caller holds nowhere else is freed once
+    copied.
 
-    Returns the remapped tables (pools untouched — concat re-codes
-    those), the unified registry, and an info dict: ``worlds``,
-    ``relays`` (unified count), ``relays_before`` (summed per-world
-    counts) and ``attribute_conflicts`` (identities whose non-identity
-    attributes drifted between worlds; first-seen attributes win).
+    Returns the pooled table, the unified registry, and an info dict:
+    ``worlds``, ``relays`` (unified count), ``relays_before`` (summed
+    per-world counts) and ``attribute_conflicts`` (identities whose
+    non-identity attributes drifted between worlds; first-seen attributes
+    win).
     """
     if len(tables) != len(registries):
         raise AnalysisError(
@@ -223,8 +227,8 @@ def unify_relay_identities(
         )
     unified = RelayRegistry()
     conflicts = 0
-    remapped: list[ObservationTable] = []
-    for table, registry in zip(tables, registries):
+    relay_maps = []
+    for registry in registries:
         mapping = unified.absorb(registry)
         for record in registry:
             merged = unified.get(int(mapping[record.index]))
@@ -232,13 +236,14 @@ def unify_relay_identities(
                 record.asn, record.cc, record.city_key
             ):
                 conflicts += 1
-        remapped.append(table.remap_relays(mapping))
-    return remapped, unified, {
+        relay_maps.append(mapping)
+    info = {
         "worlds": len(tables),
         "relays": len(unified),
         "relays_before": sum(len(r) for r in registries),
         "attribute_conflicts": conflicts,
     }
+    return ObservationTable.concat(tables, relay_maps), unified, info
 
 
 @dataclass(frozen=True, slots=True, eq=False)

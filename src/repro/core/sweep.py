@@ -24,17 +24,21 @@ The programmatic surface mirrors the service API redesign:
   (``result["per_seed"]``, ``dict(result)``) over :meth:`as_dict` so
   callers that treated the old artifact dict as JSON keep working.
 
-Transport is columnar: each worker returns its campaign's
-:class:`~repro.core.table.ObservationTable` as a compact payload (a dozen
-flat NumPy buffers plus string pools) and its relay registry as flat
-identity columns, rather than pickling one Python object per case.  The
-parent computes every metric from the received columns and pools each
-entry's seeds into one cross-world table — relay identities unified
-by ``(node_id, relay_type)`` first, so the pooled table is servable
-directly (see :func:`repro.service.cross_world_service`) — which also
-feeds the entry's paper-shape verdict
-(:func:`repro.analysis.scenarios.paper_shapes` against the preset's
-expectations) and the cross-entry ``comparison`` section.
+Transport is columnar: each worker computes its own seed's ``per_seed``
+metrics over the table it already holds and returns them with its
+campaign's :class:`~repro.core.table.ObservationTable` as a compact
+payload (a dozen flat NumPy buffers plus string pools) and its relay
+registry as flat identity columns, rather than pickling one Python object
+per case.  The parent builds no per-seed analysis: it pools each entry's
+seeds into one cross-world table with
+:func:`repro.core.results.pool_worlds` — relay identities unified by
+``(node_id, relay_type)``, so the pooled table is servable directly (see
+:func:`repro.service.cross_world_service`) — and drops each seed's
+payload once it is written there, so the parent keeps one copy of the
+cases.  The pooled table feeds the entry's pooled metrics, its
+paper-shape verdict (:func:`repro.analysis.scenarios.paper_shapes`
+against the preset's expectations) and the cross-entry ``comparison``
+section.
 
 Determinism: every per-run metric depends only on ``(configs, seed,
 rounds, countries, max_countries)``, so everything except the ``timing``
@@ -61,7 +65,7 @@ from repro.analysis.scenarios import (
 )
 from repro.core.campaign import MeasurementCampaign
 from repro.core.config import CampaignConfig
-from repro.core.results import RelayRegistry, unify_relay_identities
+from repro.core.results import RelayRegistry, pool_worlds
 from repro.core.table import ObservationTable
 from repro.errors import ConfigError
 from repro.obs.profile import active_worker_dir, profile_worker_job
@@ -312,15 +316,16 @@ def _run_seed_columns(
     obs_modes: dict | None = None,
     profile_dir: str | None = None,
 ) -> dict:
-    """Run one (configs, seed) campaign; return its columns + scalars.
+    """Run one (configs, seed) campaign; return its metrics and columns.
 
     This is the worker side of the sweep: the parent resolves each
     entry's scenario into explicit configs (registry scenarios hold
     unpicklable mapping proxies; plain config dataclasses travel cheaply
     to pool processes), and the campaign result travels back as its
-    table's payload (flat arrays, see
+    ``per_seed`` metrics (computed here, over the table this process
+    already holds), its table's payload (flat arrays, see
     :meth:`~repro.core.table.ObservationTable.to_payload`) and its
-    registry's, plus the few scalars the table does not carry.
+    registry's.
 
     Wall clock is reported split into ``world_build_s`` (world assembly +
     routing fabric/grid — snapshot-restored when ``world_cache`` hits) and
@@ -353,13 +358,21 @@ def _run_seed_columns(
             campaign = MeasurementCampaign(world, campaign_config)
             result = campaign.run()
             end = time.perf_counter()
-    outcome = {
+    table = result.table
+    metrics: dict = {
         "scenario": label,
         "seed": seed,
-        "columns": result.table.to_payload(),
-        "registry": result.registry.to_payload(),
+        "total_cases": table.num_cases,
         "total_pings": result.total_pings,
         "relays_registered": len(result.registry),
+    }
+    metrics.update(
+        relay_type_metrics(ImprovementAnalysis(table) if table.num_cases else None)
+    )
+    outcome = {
+        "metrics": metrics,
+        "columns": table.to_payload(),
+        "registry": result.registry.to_payload(),
         "world_build_s": round(build_done - start, 3),
         "campaign_s": round(end - build_done, 3),
         "wall_clock_s": round(end - start, 3),
@@ -368,20 +381,6 @@ def _run_seed_columns(
         outcome["obs"] = {"payload": obs.worker_payload(), "pid": os.getpid()}
         obs.disable()
     return outcome
-
-
-def _metrics_from_columns(outcome: dict, table: ObservationTable) -> dict:
-    """The per-run metrics dict, computed parent-side from the columns."""
-    metrics: dict = {
-        "scenario": outcome["scenario"],
-        "seed": outcome["seed"],
-        "total_cases": table.num_cases,
-        "total_pings": outcome["total_pings"],
-        "relays_registered": outcome["relays_registered"],
-    }
-    analysis = ImprovementAnalysis.from_table(table) if table.num_cases else None
-    metrics.update(relay_type_metrics(analysis))
-    return metrics
 
 
 def _resolved_configs(
@@ -417,11 +416,7 @@ def run_seed_campaign(
         max_countries=max_countries,
     )
     outcome = _run_seed_columns(scenario, resolved.world, resolved.campaign, seed)
-    table = ObservationTable.from_payload(outcome["columns"])
-    return {
-        "metrics": _metrics_from_columns(outcome, table),
-        "wall_clock_s": outcome["wall_clock_s"],
-    }
+    return {"metrics": outcome["metrics"], "wall_clock_s": outcome["wall_clock_s"]}
 
 
 def _sweep_job(args: tuple) -> dict:
@@ -508,15 +503,17 @@ def run_sweep(request: SweepRequest) -> SweepResult:
 
     A separate ``timing`` section carries wall clocks and worker count.
 
-    Pooling unifies relay identities first (see
-    :func:`repro.core.results.unify_relay_identities`): every seed's
-    registry indices remap onto one cross-world registry keyed by
-    ``(node_id, relay_type)`` before the tables concat, so the pooled
-    table is directly servable (the same pooling
-    ``repro.service.cross_world_service`` does) — a naive concat would
-    alias unrelated relays that happen to share an index.
-    The ``pooled`` *metrics* are identity-free (fractions and gains) and
-    are unchanged by the remap; each entry section reports the
+    Each seed's ``per_seed`` metrics are computed where it ran (the pool
+    worker, or inline), so the parent builds no per-seed analysis.
+    Pooling (:func:`repro.core.results.pool_worlds`, the same function
+    ``repro.service.cross_world_service`` uses) unifies relay identities
+    by ``(node_id, relay_type)`` and writes each seed's columns once into
+    the entry's pooled table, re-keyed on the way in, so the pooled table
+    is directly servable — a naive concat would alias unrelated relays
+    that happen to share an index.  Each seed's payload is dropped once
+    it is written, so the parent keeps one pooled copy of the cases.  The
+    ``pooled`` *metrics* are identity-free (fractions and gains) and are
+    unchanged by the re-keying; each entry section reports the
     unification census under ``cross_world``.
     """
     # pool workers record observability/profiles locally and ship them
@@ -568,12 +565,7 @@ def run_sweep(request: SweepRequest) -> SweepResult:
     obs.inc("sweep.jobs", len(jobs))
     obs.set_gauge("sweep.workers", request.workers)
 
-    tables = [ObservationTable.from_payload(o["columns"]) for o in outcomes]
-    registries = [RelayRegistry.from_payload(o["registry"]) for o in outcomes]
-    per_seed = [
-        _metrics_from_columns(outcome, table)
-        for outcome, table in zip(outcomes, tables)
-    ]
+    per_seed = [outcome["metrics"] for outcome in outcomes]
 
     scenario_sections: dict[str, dict] = {}
     pooled_tables: dict[str, ObservationTable] = {}
@@ -581,10 +573,11 @@ def run_sweep(request: SweepRequest) -> SweepResult:
     lo = 0
     for entry in request.entries:
         hi = lo + len(entry.seeds)
-        unified_tables, unified_registry, cross_world = unify_relay_identities(
-            tables[lo:hi], registries[lo:hi]
+        # the payloads leave their outcomes here: each is freed once pooled
+        pooled_table, unified_registry, cross_world = pool_worlds(
+            [ObservationTable.from_payload(o.pop("columns")) for o in outcomes[lo:hi]],
+            [RelayRegistry.from_payload(o.pop("registry")) for o in outcomes[lo:hi]],
         )
-        pooled_table = ObservationTable.concat(unified_tables)
         pooled_metrics, shapes = scenario_report(pooled_table)
         scenario_sections[entry.label] = {
             "description": entry.scenario.description,

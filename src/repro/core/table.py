@@ -125,6 +125,12 @@ class ObservationTable:
       ragged improving-relay lists: group ``i * T + c`` holds case ``i``'s
       type-``c`` entries, ``imp_relay`` is the registry index and
       ``imp_gain`` the improvement in ms.
+
+    Every type's best gain per improved case comes from one segment max
+    over the block's non-empty groups
+    (:meth:`best_gain_per_improved_case`), which attaches nothing to the
+    table; :meth:`type_entries` expands one type's entries and caches them
+    for the analyses that read them repeatedly.
     """
 
     __slots__ = (
@@ -146,6 +152,13 @@ class ObservationTable:
         "imp_gain",
         "_imp_counts",
         "_type_entries",
+    )
+
+    #: Each string pool and the code columns that point into it.
+    _POOL_FIELDS = (
+        ("endpoint_ids", ("e1_id", "e2_id")),
+        ("countries", ("e1_cc", "e2_cc")),
+        ("cities", ("e1_city", "e2_city")),
     )
 
     _ARRAY_FIELDS = (
@@ -266,20 +279,25 @@ class ObservationTable:
         self._type_entries[type_code] = entry
         return entry
 
-    def best_gain_per_improved_case(
-        self, type_code: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per improved case (in case order): ``(case_idx, max gain)``.
+    def best_gain_per_improved_case(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per type code: ``(case_idx, max gain)`` of each improved case.
 
-        The max is taken over each case's improving list with one
-        ``maximum.reduceat``; a max does not depend on reduction order, so
-        it equals a per-case Python ``max`` float for float.
+        All four types come from one ``maximum.reduceat`` over the starts of
+        the non-empty ``(case, type)`` CSR groups: only empty groups lie
+        between two consecutive ones, and the last one ends the block, so
+        each segment is exactly one group.  A max does not depend on
+        reduction order, so each equals a per-case Python ``max`` float for
+        float.  Cases come in case order, and nothing is cached on the table.
         """
-        cases, _, gains = self.type_entries(type_code)
-        if cases.size == 0:
-            return cases, gains
-        starts = np.flatnonzero(np.diff(cases, prepend=-1))
-        return cases[starts], np.maximum.reduceat(gains, starts)
+        indptr = self.imp_indptr
+        groups = np.flatnonzero(indptr[1:] != indptr[:-1])
+        gains = np.maximum.reduceat(self.imp_gain, indptr[groups])
+        cases, types = np.divmod(groups, NUM_RELAY_TYPES)
+        best = []
+        for code in range(NUM_RELAY_TYPES):
+            of_type = types == code
+            best.append((cases[of_type], gains[of_type]))
+        return tuple(best)
 
     # ------------------------------------------------------- lane accessors
     #
@@ -332,81 +350,64 @@ class ObservationTable:
     # ---------------------------------------------------------- constructors
 
     @classmethod
-    def concat(cls, tables: Sequence[ObservationTable]) -> ObservationTable:
-        """Concatenate round tables into one campaign table.
+    def concat(
+        cls,
+        tables: list[ObservationTable],
+        relay_maps: Sequence[np.ndarray] | None = None,
+    ) -> ObservationTable:
+        """Concatenate tables, writing each once into preallocated columns.
 
-        Tables sharing one pools object (the campaign case) concatenate
-        without touching any codes; tables with distinct pools (e.g. sweep
-        payloads from different seeds) are re-coded into a fresh union
-        pool first.
+        Tables sharing one pools object (a campaign's rounds) keep their
+        codes; tables with distinct pools (sweep payloads from different
+        seeds) are re-coded into a fresh union pool on the way in.
+        ``relay_maps`` (one per table, see
+        :meth:`repro.core.results.RelayRegistry.absorb`) re-keys the relay
+        registry indices the same way; ``-1`` in ``best_relay`` stays -1.
+
+        The caller's list is consumed: each table is popped off it as it is
+        written, so a table the caller holds nowhere else is freed once its
+        columns are copied.
         """
-        tables = [t for t in tables]
         if not tables:
             return cls.empty()
-        if len(tables) == 1:
-            return tables[0]
+        if len(tables) == 1 and relay_maps is None:
+            return tables.pop()
         shared = all(t.pools is tables[0].pools for t in tables)
-        if shared:
-            pools = tables[0].pools
-            remaps = None
-        else:
-            pools = TablePools.fresh()
-            remaps = [
-                {
-                    "id": pools.endpoint_ids.codes(t.pools.endpoint_ids.values),
-                    "cc": pools.countries.codes(t.pools.countries.values),
-                    "city": pools.cities.codes(t.pools.cities.values),
-                }
-                for t in tables
-            ]
-
-        def col(name: str, idx: int, table: ObservationTable) -> np.ndarray:
-            arr = getattr(table, name)
-            if remaps is None:
-                return arr
-            remap = remaps[idx]
-            if name in ("e1_id", "e2_id"):
-                return remap["id"][arr] if arr.size else arr
-            if name in ("e1_cc", "e2_cc"):
-                return remap["cc"][arr] if arr.size else arr
-            if name in ("e1_city", "e2_city"):
-                return remap["city"][arr] if arr.size else arr
-            return arr
-
-        columns: dict[str, np.ndarray] = {}
-        for name in cls._ARRAY_FIELDS:
-            if name == "imp_indptr":
-                continue
-            axis = -1 if name in ("best_relay", "best_stitched", "feasible", "country_flags") else 0
-            columns[name] = np.concatenate(
-                [col(name, i, t) for i, t in enumerate(tables)], axis=axis
-            )
-        parts = [tables[0].imp_indptr]
-        offset = int(tables[0].imp_indptr[-1])
-        for t in tables[1:]:
-            parts.append(t.imp_indptr[1:] + offset)
-            offset += int(t.imp_indptr[-1])
-        columns["imp_indptr"] = np.concatenate(parts)
-        return cls(pools, **columns)
-
-    def remap_relays(self, mapping: np.ndarray) -> ObservationTable:
-        """A copy with every relay registry index sent through ``mapping``.
-
-        ``mapping`` maps this table's registry indices to another
-        registry's (see :meth:`repro.core.results.RelayRegistry.absorb`);
-        ``-1`` sentinels in ``best_relay`` are preserved.  String pools
-        are shared with the original, so concatenating remapped tables
-        from different seeds still goes through the union-pool path.
-        """
-        columns = {name: getattr(self, name) for name in self._ARRAY_FIELDS}
-        if self.imp_relay.size:
-            columns["imp_relay"] = mapping[self.imp_relay].astype(np.int32)
-        best = self.best_relay.copy()
-        known = best >= 0
-        if known.any():
-            best[known] = mapping[best[known]]
-        columns["best_relay"] = best
-        return type(self)(self.pools, **columns)
+        pools = tables[0].pools if shared else TablePools.fresh()
+        n = sum(t.num_cases for t in tables)
+        m = sum(t.imp_relay.size for t in tables)
+        sizes = dict.fromkeys(cls._ARRAY_FIELDS, n)
+        sizes.update(imp_indptr=n * NUM_RELAY_TYPES + 1, imp_relay=m, imp_gain=m)
+        columns = {}
+        for name, size in sizes.items():
+            like = getattr(tables[0], name)
+            columns[name] = np.empty(like.shape[:-1] + (size,), like.dtype)
+        indptr = columns.pop("imp_indptr")
+        indptr[0] = 0
+        case = entry = 0
+        for index in range(len(tables)):
+            table = tables.pop(0)
+            luts: dict[str, np.ndarray] = {}
+            if not shared:
+                for pool, fields in cls._POOL_FIELDS:
+                    lut = getattr(pools, pool).codes(getattr(table.pools, pool).values)
+                    luts.update(dict.fromkeys(fields, lut))
+            if relay_maps is not None:
+                # the appended -1 sends best_relay's "none" to itself
+                lut = np.append(relay_maps[index], np.int32(-1))
+                luts.update(imp_relay=lut, best_relay=lut)
+            k, e = table.num_cases, table.imp_relay.size
+            rows, entries = slice(case, case + k), slice(entry, entry + e)
+            for name, out in columns.items():
+                at = entries if name in ("imp_relay", "imp_gain") else rows
+                column = getattr(table, name)
+                lut = luts.get(name)
+                out[..., at] = column if lut is None else lut[column]
+            groups = slice(case * NUM_RELAY_TYPES + 1, (case + k) * NUM_RELAY_TYPES + 1)
+            np.add(table.imp_indptr[1:], entry, out=indptr[groups])
+            case += k
+            entry += e
+        return cls(pools, imp_indptr=indptr, **columns)
 
     # ------------------------------------------------------------- transport
 

@@ -49,7 +49,7 @@ from repro.core.results import (
     CampaignResult,
     RelayRegistry,
     RoundResult,
-    unify_relay_identities,
+    pool_worlds,
 )
 from repro.core.table import ObservationTable
 from repro.core.types import RelayType
@@ -398,22 +398,22 @@ def cross_world_service(
 ) -> tuple[ShortcutService, RelayRegistry, dict[str, int]]:
     """Compile one service over several campaigns' unified history.
 
-    Relay identities unify by node id across the worlds (see
-    :func:`repro.core.results.unify_relay_identities`), the remapped
-    tables pool into one cross-world :class:`ObservationTable` (string
-    pools union-re-coded by ``concat``), and the pooled table compiles
-    round-by-round — worlds share round ids, so round ``r`` of every
-    world merges into one directory round.
+    The campaigns pool into one cross-world :class:`ObservationTable` on
+    one relay registry through :func:`repro.core.results.pool_worlds`, the
+    sweep's pooling function: relay identities unify by ``(node_id,
+    relay_type)`` and each world's columns are written once, re-keyed on
+    the way in.  The pooled table compiles round-by-round — worlds share
+    round ids, so round ``r`` of every world merges into one directory
+    round.
 
-    Returns ``(service, unified_registry, unify_info)``.
+    Returns ``(service, unified_registry, pooling_info)``.
     """
     if not results:
         raise ServiceError("cross_world_service needs at least one campaign")
-    remapped, registry, info = unify_relay_identities(
+    pooled, registry, info = pool_worlds(
         [result.table for result in results],
         [result.registry for result in results],
     )
-    pooled = ObservationTable.concat(remapped)
     service = ShortcutService.from_table(
         pooled,
         max_rounds,

@@ -76,8 +76,7 @@ class TestCampaignRun:
 
     def test_best_is_min_of_improving(self, small_campaign_result):
         table = small_campaign_result.table
-        for code in range(NUM_RELAY_TYPES):
-            cases, best_gains = table.best_gain_per_improved_case(code)
+        for code, (cases, best_gains) in enumerate(table.best_gain_per_improved_case()):
             assert (table.best_relay[code, cases] >= 0).all()
             stitched = table.best_stitched[code, cases]
             assert table.direct_rtt_ms[cases] - stitched == pytest.approx(best_gains)

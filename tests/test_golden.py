@@ -8,15 +8,19 @@ Those engines existed only so parity tests could diff against them; the
 digests now pin the same behaviour without the second implementation.
 The serving values (:class:`TestService`) were recorded from the
 directory that spliced recompiled lanes into its blocks and answered each
-batch through per-tier key searches.  The code must reproduce every value
-bit for bit.  A change that moves one on purpose updates it here and says
-why in its commit message.
+batch through per-tier key searches.  The sweep values (:class:`TestSweep`)
+were recorded from the sweep that rebuilt every seed's analysis in the
+parent process and pooled remapped copies of the seeds' tables through a
+separate concat.  The code must reproduce every value bit for bit.  A
+change that moves one on purpose updates it here and says why in its
+commit message.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from repro.analysis.stability import StabilityAnalysis
 from repro.core.colo import ColoRelayPipeline
 from repro.core.io import load_result, save_result
 from repro.core.oracle import LaneHistory, evaluate_prediction
+from repro.core.sweep import SweepRequest, run_sweep
 from repro.core.types import RelayType
 from repro.core.worldcache import capture_arrays
 from repro.latency.model import Endpoint, LatencyModel
@@ -208,6 +213,16 @@ TIMELINE_EVENTS = (
     ProbeChurn(start_round=1, end_round=3, fraction=0.3),
     LinkDegradation(start_round=0, end_round=2, num_pairs=3, loss_add=0.3, rtt_mult=1.5),
 )
+#: ``run_sweep`` of the baseline preset over seeds 3 and 4, one round, 8
+#: countries: blake2b of the artifact without ``timing`` as canonical JSON;
+#: (cases, improving entries, :func:`columns_digest`) of the pooled table
+#: ``tables["baseline"]``; (relays, blake2b of the identity columns as
+#: canonical JSON) of the unified registry ``registries["baseline"]``.
+SWEEP = (
+    "693b524c2a90bc9f7e4ef2cfbd15133a",
+    (76, 700, "87395b847ab0a5fe6ca95ab94592f5cb"),
+    (235, "3d55538c728239c1a0d7abf4fea9c82f"),
+)
 
 SMALL_CONFIG = WorldConfig(topology=TopologyConfig(country_limit=16))
 
@@ -222,6 +237,26 @@ def table_digest(table) -> str:
         digest.update(
             value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode()
         )
+    return digest.hexdigest()
+
+
+def json_digest(value) -> str:
+    return hashlib.blake2b(
+        json.dumps(value, sort_keys=True).encode(), digest_size=16
+    ).hexdigest()
+
+
+def columns_digest(table) -> str:
+    """blake2b over a table's pool values and every column's name, dtype,
+    shape and bytes."""
+    payload = table.to_payload()
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(json.dumps(payload["pools"], sort_keys=True).encode())
+    for name, column in payload["columns"].items():
+        digest.update(name.encode())
+        digest.update(column.dtype.str.encode())
+        digest.update(repr(column.shape).encode())
+        digest.update(np.ascontiguousarray(column).tobytes())
     return digest.hexdigest()
 
 
@@ -474,3 +509,18 @@ class TestService:
             ),
         }
         assert got == QUERY_STREAMS
+
+
+class TestSweep:
+    def test_artifact_and_pooled_table(self):
+        result = run_sweep(
+            SweepRequest.from_scenario("baseline", seeds=(3, 4), rounds=1, countries=8)
+        )
+        table = result.tables["baseline"]
+        registry = result.registries["baseline"]
+        got = (
+            json_digest(result.as_dict(include_timing=False)),
+            (table.num_cases, table.imp_relay.size, columns_digest(table)),
+            (len(registry), json_digest(registry.to_payload())),
+        )
+        assert got == SWEEP

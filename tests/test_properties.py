@@ -10,8 +10,9 @@ walk) agree with the scalar references they replace, the stability CVs
 over median columns equal the dict-keyed CVs they replaced, the
 campaign round's endpoint-block kernels (feasibility, leg selection,
 stitching) equal the pair gathers they replaced, the batched skew
-hash equals the per-pair one, and a result file gives back every table
-it stored.
+hash equals the per-pair one, a result file gives back every table
+it stored, and the one-pass best-gain segment max equals a per-case
+loop.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.analysis.stability import series_cvs
@@ -33,7 +34,7 @@ from repro.core.stitching import improvement_ms, is_tiv, stitch_rtt
 from repro.core.io import load_result, save_result
 from repro.core.results import CampaignResult, MedianColumns, RelayRegistry, RoundResult
 from repro.core.table import TablePools
-from repro.core.types import RELAY_TYPE_ORDER
+from repro.core.types import RELAY_TYPE_ORDER, RelayType
 from repro.errors import AnalysisError, RoutingError
 from repro.latency import model as latency_model
 from repro.geo.cities import all_cities
@@ -587,6 +588,7 @@ def _per_type(values):
 
 _relay = st.integers(0, len(_REGISTRY_TYPES) - 1)
 _ms = st.floats(0.5, 900.0)
+_improving = st.lists(st.tuples(_relay, _ms), max_size=3).map(tuple)
 _cases = st.builds(
     Case,
     e1_id=st.sampled_from(("p1", "p2", "p3")),
@@ -597,7 +599,7 @@ _cases = st.builds(
     e2_city=st.sampled_from(("Recife/BR", "Durban/ZA")),
     direct_rtt_ms=_ms,
     best_by_type=_per_type(st.tuples(_relay, _ms)),
-    improving_by_type=_per_type(st.lists(st.tuples(_relay, _ms), max_size=3).map(tuple)),
+    improving_by_type=_per_type(_improving),
     feasible_by_type=_per_type(st.integers(0, 40)),
     country_groups_by_type=_per_type(st.tuples(*[st.booleans()] * 4)),
 )
@@ -639,3 +641,29 @@ class TestStoreRoundTrip:
             assert got.table.columns_equal(want.table)
             assert got.direct_medians == want.direct_medians
         assert loaded.table.columns_equal(result.table)
+
+
+class TestBestGainSegments:
+    """``best_gain_per_improved_case`` takes every type's maxima from one
+    segment max over the non-empty CSR groups; each type's ``(cases,
+    gains)`` must equal a Python ``max`` over each case's entries, bit for
+    bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_per_type(_improving), max_size=8))
+    @example([])
+    @example([{}, {RelayType.RAR_OTHER: ((3, 7.5),)}, {}])
+    @example([{t: ((1, 2.5),) for t in RELAY_TYPE_ORDER}])
+    def test_matches_loop_max(self, improving):
+        cases = [Case(improving_by_type=by_type) for by_type in improving]
+        best = build_table(cases).best_gain_per_improved_case()
+        assert len(best) == len(RELAY_TYPE_ORDER)
+        for code, relay_type in enumerate(RELAY_TYPE_ORDER):
+            want = [
+                (i, max(gain for _, gain in case.improving_by_type[relay_type]))
+                for i, case in enumerate(cases)
+                if case.improving_by_type.get(relay_type)
+            ]
+            got_cases, got_gains = best[code]
+            assert got_cases.tolist() == [i for i, _ in want]
+            assert got_gains.tobytes() == np.array([g for _, g in want], float).tobytes()

@@ -1,9 +1,12 @@
 """Tests for the multi-seed sweep runner and its CLI subcommand."""
 
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from repro.analysis.scenarios import scenario_report
 from repro.cli import build_parser, main
 from repro.core.config import CampaignConfig
 from repro.core.sweep import (
@@ -12,7 +15,8 @@ from repro.core.sweep import (
     SweepResult,
     run_sweep,
 )
-from repro.core.table import ObservationTable
+from repro.core.results import RelayRegistry, pool_worlds
+from repro.core.table import NUM_RELAY_TYPES, ObservationTable
 from repro.core.types import RELAY_TYPE_ORDER
 from repro.errors import ConfigError, UnknownScenarioError
 from repro.scenarios import get_scenario
@@ -168,6 +172,91 @@ class TestRunSweep:
                 assert entry is None
             else:
                 assert entry is not None
+
+
+def _seed_payload(seed: int, cases: int = 4_000, relays: int = 48) -> dict:
+    """A synthetic seed's table payload shaped like a sweep worker's: ~16
+    improving entries per case, over small string pools."""
+    rng = np.random.default_rng(seed)
+    per_type = (NUM_RELAY_TYPES, cases)
+    counts = rng.integers(0, 9, size=cases * NUM_RELAY_TYPES)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    best = rng.integers(-1, relays, size=per_type).astype(np.int32)
+    stitched = np.where(best >= 0, rng.uniform(20.0, 300.0, per_type), np.nan)
+
+    def codes(size: int) -> np.ndarray:
+        return rng.integers(0, size, cases).astype(np.int32)
+
+    return {
+        "pools": {
+            "endpoint_ids": [f"p{seed}-{i}" for i in range(200)],
+            "countries": ["DE", "JP", "US", "BR", "ZA", "AU"],
+            "cities": [f"c{i}/XX" for i in range(seed, seed + 30)],
+        },
+        "columns": {
+            "round_idx": rng.integers(0, 4, cases).astype(np.int32),
+            "e1_id": codes(200),
+            "e2_id": codes(200),
+            "e1_cc": codes(6),
+            "e2_cc": codes(6),
+            "e1_city": codes(30),
+            "e2_city": codes(30),
+            "direct_rtt_ms": rng.uniform(20.0, 400.0, cases),
+            "best_relay": best,
+            "best_stitched": stitched,
+            "feasible": rng.integers(0, 40, per_type).astype(np.int32),
+            "country_flags": rng.random((NUM_RELAY_TYPES, 4, cases)) < 0.5,
+            "imp_indptr": indptr,
+            "imp_relay": rng.integers(0, relays, int(indptr[-1])).astype(np.int32),
+            "imp_gain": rng.uniform(0.1, 150.0, int(indptr[-1])),
+        },
+    }
+
+
+def _seed_registry(seed: int, relays: int = 48) -> RelayRegistry:
+    registry = RelayRegistry()
+    for i in range(relays):
+        # overlapping node ids across seeds, so pooling unifies some
+        node = (seed * relays // 2 + i) % (2 * relays)
+        relay_type = RELAY_TYPE_ORDER[node % NUM_RELAY_TYPES]
+        registry.register(f"n{node}", relay_type, 64500 + node, "NL", "Amsterdam/NL")
+    return registry
+
+
+def _column_bytes(table: ObservationTable) -> int:
+    return sum(column.nbytes for column in table.to_payload()["columns"].values())
+
+
+class TestPoolingMemory:
+    """A sweep's parent process holds each seed's cases once: pooling writes every
+    seed straight into the pooled columns, and the pooled report leaves
+    nothing attached to the table it reads."""
+
+    def test_pooling_and_report_add_one_copy(self):
+        payloads = [_seed_payload(seed) for seed in (1, 2, 3, 4)]
+        registries = [_seed_registry(seed) for seed in (1, 2, 3, 4)]
+        assert min(
+            sum(c.nbytes for c in p["columns"].values()) for p in payloads
+        ) >= 1_000_000
+        # the report's first call imports modules; keep them out of the count
+        scenario_report(ObservationTable.from_payload(_seed_payload(0, cases=50)))
+        tracemalloc.start()
+        try:
+            tables = [ObservationTable.from_payload(p) for p in payloads]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            pooled, _, info = pool_worlds(tables, registries)
+            pool_peak = tracemalloc.get_traced_memory()[1] - before
+            before_report = tracemalloc.get_traced_memory()[0]
+            scenario_report(pooled)
+            left = tracemalloc.get_traced_memory()[0] - before_report
+        finally:
+            tracemalloc.stop()
+        column_bytes = _column_bytes(pooled)
+        assert info["worlds"] == 4 and info["relays"] < info["relays_before"]
+        assert pooled.num_cases == 4 * 4_000
+        assert pool_peak <= 1.1 * column_bytes, pool_peak / column_bytes
+        assert abs(left) <= 0.1 * column_bytes, left / column_bytes
 
 
 class TestMultiScenarioSweep:

@@ -434,7 +434,7 @@ class TestCsrEdgeCases:
         for code in range(NUM_RELAY_TYPES):
             cases, relays, gains = table.type_entries(code)
             assert cases.size == relays.size == gains.size == 0
-            got_cases, got_gains = table.best_gain_per_improved_case(code)
+            got_cases, got_gains = table.best_gain_per_improved_case()[code]
             assert got_cases.size == got_gains.size == 0
 
     def test_empty_table(self):
@@ -463,7 +463,7 @@ class TestCsrEdgeCases:
         ]
         table = build_table(cases)
         plr = RELAY_TYPE_ORDER.index(RelayType.PLR)
-        improved, gains = table.best_gain_per_improved_case(plr)
+        improved, gains = table.best_gain_per_improved_case()[plr]
         assert improved.tolist() == [0, 2]
         assert gains.tolist() == [25.0, 40.0]
 
